@@ -47,7 +47,6 @@ import (
 	"repro/internal/obs/trace"
 	"repro/internal/overload"
 	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 func main() {
@@ -83,13 +82,8 @@ func run(args []string) error {
 		breakerThr  = fs.Int("breaker-threshold", 0, "consecutive overloaded/timeout failures before a peer's circuit breaker opens (0 disables the breaker)")
 		batchLinger = fs.Duration("batch-linger", transport.DefaultBatchLinger, "max adaptive write-coalescing linger per pooled connection (scales with in-flight load; negative never lingers)")
 		batchBytes  = fs.Int("batch-bytes", 64<<10, "write-coalescing flush threshold in bytes per pooled connection")
-		coalesce    = fs.Bool("coalesce", true, "coalesce concurrent frames into batched writes on pooled connections (false: one write syscall per frame)")
-		codec       = fs.String("codec", "", "frame-body codec on pooled connections: binary (default) negotiates HRS3 per peer with JSON fallback, json pins the HRS2 JSON encoding")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if _, err := wire.CodecByName(*codec); err != nil {
 		return err
 	}
 	level, err := obs.ParseLevel(*logLevel)
@@ -121,8 +115,7 @@ func run(args []string) error {
 			probe: *probe, retryAtt: *retryAtt, suspicionK: *suspicionK,
 			poolSize: *poolSize, maxInflight: *maxInflight,
 			rateLimit: *rateLimit, maxConc: *maxConc, breakerThr: *breakerThr,
-			batchLinger: *batchLinger, batchBytes: *batchBytes, coalesce: *coalesce,
-			codec:  *codec,
+			batchLinger: *batchLinger, batchBytes: *batchBytes,
 			tracer: tracer,
 		}, reg, logger)
 	}
@@ -131,7 +124,7 @@ func run(args []string) error {
 	}
 	stacked, err := transport.NewStack(stackOptions(
 		*poolSize, *maxInflight, 0, 0,
-		*batchLinger, *batchBytes, *coalesce, *codec,
+		*batchLinger, *batchBytes,
 		retryPolicy(*retryAtt, *seed), breakerPolicy(*breakerThr),
 		reg, tracer, *name)...)
 	if err != nil {
@@ -248,7 +241,7 @@ func retryPolicy(attempts int, seed uint64) *transport.RetryPolicy {
 // the v1 baseline. Zero timeouts keep the transport defaults; nil
 // policies skip their layers.
 func stackOptions(poolSize, maxInflight int, dialTimeout, ioTimeout time.Duration,
-	batchLinger time.Duration, batchBytes int, coalesce bool, codec string,
+	batchLinger time.Duration, batchBytes int,
 	retry *transport.RetryPolicy, breaker *transport.BreakerPolicy,
 	reg *obs.Registry, tracer *trace.Tracer, local string) []transport.StackOption {
 	opts := []transport.StackOption{
@@ -264,12 +257,7 @@ func stackOptions(poolSize, maxInflight int, dialTimeout, ioTimeout time.Duratio
 			DialTimeout:        dialTimeout,
 			IOTimeout:          ioTimeout,
 		}))
-		if coalesce {
-			opts = append(opts, transport.WithBatching(batchLinger, batchBytes))
-		} else {
-			opts = append(opts, transport.WithoutBatching())
-		}
-		opts = append(opts, transport.WithCodec(codec))
+		opts = append(opts, transport.WithBatching(batchLinger, batchBytes))
 	}
 	if retry != nil {
 		opts = append(opts, transport.WithRetry(*retry))
@@ -296,8 +284,6 @@ type demoConfig struct {
 	breakerThr  int
 	batchLinger time.Duration
 	batchBytes  int
-	coalesce    bool
-	codec       string
 	tracer      *trace.Tracer
 }
 
@@ -312,7 +298,7 @@ func runDemo(dc demoConfig, reg *obs.Registry, logger *slog.Logger) error {
 	// single node name ("-"); server spans still claim theirs.
 	stacked, err := transport.NewStack(stackOptions(
 		dc.poolSize, dc.maxInflight, time.Second, 3*time.Second,
-		dc.batchLinger, dc.batchBytes, dc.coalesce, dc.codec,
+		dc.batchLinger, dc.batchBytes,
 		retryPolicy(dc.retryAtt, dc.seed), breakerPolicy(dc.breakerThr),
 		reg, dc.tracer, "-")...)
 	if err != nil {

@@ -45,7 +45,7 @@ func run(args []string) error {
 		traced  = fs.Bool("trace", false, "collect and render the cross-node span tree (falls back to the hop-by-hop trace)")
 		stats   = fs.Bool("stats", false, "fetch the node's operational counters instead of querying")
 		from    = fs.String("from", "hoursq", "client identity charged by the entry node's per-client admission control")
-		codec   = fs.String("codec", "", "wire codec: binary (default) negotiates the HRS3 mux encoding, json pins HRS2/JSON, v1 uses one-shot dial-per-call framing")
+		codec   = fs.String("codec", "binary", "wire framing: binary speaks the multiplexed binary protocol, v1 the human-debuggable one-shot JSON framing (dial per call)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -54,13 +54,12 @@ func run(args []string) error {
 	switch *codec {
 	case "v1":
 		tcp = &transport.TCP{IOTimeout: *timeout}
-	default:
-		if _, err := wire.CodecByName(*codec); err != nil {
-			return err
-		}
-		p := transport.NewPooledTCP(transport.PoolConfig{IOTimeout: *timeout, Codec: *codec})
+	case "binary":
+		p := transport.NewPooledTCP(transport.PoolConfig{IOTimeout: *timeout})
 		defer func() { _ = p.Close() }()
 		tcp = p
+	default:
+		return fmt.Errorf("unknown -codec %q (want binary or v1)", *codec)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()

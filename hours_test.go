@@ -126,7 +126,7 @@ func TestFacadeErrorTaxonomy(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer ln.Close()
-		_, err = tr.Call(context.Background(), ln.(*transport.TCPListener).Addr(), req)
+		_, err = tr.Call(context.Background(), ln.(*transport.PooledListener).Addr(), req)
 		check(t, err)
 	})
 	t.Run("v2 mux", func(t *testing.T) {

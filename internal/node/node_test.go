@@ -286,7 +286,7 @@ func TestOverTCPEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		addr := probe.(*transport.TCPListener).Addr()
+		addr := probe.(*transport.PooledListener).Addr()
 		if err := probe.Close(); err != nil {
 			t.Fatal(err)
 		}

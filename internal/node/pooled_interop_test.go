@@ -3,7 +3,6 @@ package node
 import (
 	"context"
 	"fmt"
-	"io"
 	"testing"
 	"time"
 
@@ -11,107 +10,7 @@ import (
 	"repro/internal/wire"
 )
 
-// TestMixedVersionHierarchy runs a live hierarchy in which the root
-// speaks only the one-shot v1 protocol while every child runs the
-// pooled, multiplexed transport. Joins, table construction, and queries
-// must flow end to end in both directions: pooled clients fall back to
-// dial-per-call against the v1 root, and the v1 root's dial-per-call
-// requests are sniffed and served by the children's mux listeners.
-func TestMixedVersionHierarchy(t *testing.T) {
-	ctx := context.Background()
-	v1 := &transport.TCP{DialTimeout: 300 * time.Millisecond, IOTimeout: 2 * time.Second}
-	pooled := transport.NewPooledTCP(transport.PoolConfig{
-		DialTimeout: 300 * time.Millisecond,
-		IOTimeout:   2 * time.Second,
-	})
-	t.Cleanup(func() { _ = pooled.Close() })
-
-	bind := func(tr transport.Transport) string {
-		t.Helper()
-		probe, err := tr.Listen("127.0.0.1:0", func(ctx context.Context, m wire.Message) (wire.Message, error) {
-			return wire.Message{}, fmt.Errorf("placeholder")
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var addr string
-		switch l := probe.(type) {
-		case *transport.TCPListener:
-			addr = l.Addr()
-		case *transport.PooledListener:
-			addr = l.Addr()
-		default:
-			t.Fatalf("listener type %T", probe)
-		}
-		if err := probe.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return addr
-	}
-	mk := func(tr transport.Transport, name, parentAddr string, seed uint64) (*Node, string) {
-		t.Helper()
-		addr := bind(tr)
-		nd, err := New(Config{
-			Name: name, Addr: addr, ParentAddr: parentAddr,
-			K: 1, Q: 2, Seed: seed, CallTimeout: 2 * time.Second,
-		}, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := nd.Start(); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = nd.Stop() })
-		return nd, addr
-	}
-
-	_, rootAddr := mk(v1, ".", "", 1)
-	var kids []*Node
-	for i := 0; i < 3; i++ {
-		nd, _ := mk(pooled, fmt.Sprintf("c%d", i), rootAddr, uint64(i+2))
-		if err := nd.Join(ctx); err != nil {
-			t.Fatalf("pooled child join via v1 root: %v", err)
-		}
-		kids = append(kids, nd)
-	}
-	for _, nd := range kids {
-		if err := nd.BuildTable(ctx); err != nil {
-			t.Fatalf("build table for %s: %v", nd.Name(), err)
-		}
-	}
-
-	query := func(tr transport.Transport, entry, target string) wire.QueryResult {
-		t.Helper()
-		q, err := wire.New(wire.TypeQuery, wire.Query{Target: target, Mode: wire.ModeHierarchical, TTL: 16})
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := tr.Call(ctx, entry, q)
-		if err != nil {
-			t.Fatalf("query %s via %T: %v", target, tr, err)
-		}
-		var qr wire.QueryResult
-		if err := resp.Decode(&qr); err != nil {
-			t.Fatal(err)
-		}
-		return qr
-	}
-
-	// v1 client → v1 root → pooled children (sniffed one-shot serving).
-	if qr := query(v1, rootAddr, "c1"); !qr.Found {
-		t.Fatalf("query through v1 root failed: %+v", qr)
-	}
-	// Pooled client → pooled sibling → v1 root (negotiated fallback).
-	if qr := query(pooled, kids[0].Addr(), "c2"); !qr.Found {
-		t.Fatalf("query through pooled child failed: %+v", qr)
-	}
-	// Pooled client straight at the v1 root: sticky fallback path.
-	if qr := query(pooled, rootAddr, "c0"); !qr.Found {
-		t.Fatalf("pooled query against v1 root failed: %+v", qr)
-	}
-}
-
-// TestPooledHierarchy is the all-v2 counterpart: every node shares one
+// TestPooledHierarchy is the all-pooled baseline: every node shares one
 // pooled transport, so intra-hierarchy RPCs ride multiplexed conns.
 func TestPooledHierarchy(t *testing.T) {
 	ctx := context.Background()
@@ -123,18 +22,8 @@ func TestPooledHierarchy(t *testing.T) {
 
 	mk := func(name, parentAddr string, seed uint64) *Node {
 		t.Helper()
-		probe, err := pooled.Listen("127.0.0.1:0", func(ctx context.Context, m wire.Message) (wire.Message, error) {
-			return wire.Message{}, fmt.Errorf("placeholder")
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr := probe.(*transport.PooledListener).Addr()
-		if err := probe.(io.Closer).Close(); err != nil {
-			t.Fatal(err)
-		}
 		nd, err := New(Config{
-			Name: name, Addr: addr, ParentAddr: parentAddr,
+			Name: name, Addr: bindAddr(t, pooled), ParentAddr: parentAddr,
 			K: 1, Q: 2, Seed: seed, CallTimeout: 2 * time.Second,
 		}, pooled)
 		if err != nil {

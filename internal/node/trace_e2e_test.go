@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -18,17 +17,16 @@ import (
 	"repro/internal/wire"
 )
 
-// TestTracedQueryMixedVersionE2E is the distributed-tracing acceptance
-// test: one traced query crosses a live TCP hierarchy whose root speaks
-// only the v1 one-shot protocol (trace context on the JSON envelope)
-// while the children run the pooled mux transport (trace context as the
-// binary traced-frame header), with one injected fault forcing the
+// TestTracedQueryE2E is the distributed-tracing acceptance test: one
+// traced query crosses a live pooled-TCP hierarchy (trace context as the
+// flagged binary frame prefix; the one-shot envelope field is covered by
+// TestOneShotNodeAmongPooledE2E), with one injected fault forcing the
 // root's alternate-child detour. The spans every node recorded must
 // assemble into a single connected tree whose server-span sequence is
 // exactly the query path, whose overlay segment matches the simulated
 // route for the same (N, K, Seed), and which carries both the fault
 // span and the numbered retry attempt. /debug/traces must serve it.
-func TestTracedQueryMixedVersionE2E(t *testing.T) {
+func TestTracedQueryE2E(t *testing.T) {
 	const (
 		nChildren = 12
 		k         = 2
@@ -42,45 +40,17 @@ func TestTracedQueryMixedVersionE2E(t *testing.T) {
 	tracer := trace.New(trace.Config{SampleRate: 0, Seed: 99, Capacity: 1 << 12})
 	plan := transport.NewFaultPlan(seed)
 
-	v1 := &transport.TCP{DialTimeout: 300 * time.Millisecond, IOTimeout: 2 * time.Second}
 	pooled := transport.NewPooledTCP(transport.PoolConfig{
 		DialTimeout: 300 * time.Millisecond,
 		IOTimeout:   2 * time.Second,
 	})
 	t.Cleanup(func() { _ = pooled.Close() })
 
-	bind := func(tr transport.Transport) string {
+	mk := func(name, parentAddr string) *Node {
 		t.Helper()
-		probe, err := tr.Listen("127.0.0.1:0", func(ctx context.Context, m wire.Message) (wire.Message, error) {
-			return wire.Message{}, fmt.Errorf("placeholder")
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var addr string
-		switch l := probe.(type) {
-		case *transport.TCPListener:
-			addr = l.Addr()
-		case *transport.PooledListener:
-			addr = l.Addr()
-		default:
-			t.Fatalf("listener type %T", probe)
-		}
-		if err := probe.(io.Closer).Close(); err != nil {
-			t.Fatal(err)
-		}
-		return addr
-	}
-	mk := func(base transport.Transport, name, parentAddr string) *Node {
-		t.Helper()
-		addr := bind(base)
-		stacked, err := transport.Stack(transport.StackConfig{
-			Base:       base,
-			Addr:       addr,
-			Faults:     plan,
-			Tracer:     tracer,
-			TraceLocal: name,
-		})
+		addr := bindAddr(t, pooled)
+		stacked, err := transport.NewStack(transport.WithBase(pooled), transport.WithAddr(addr),
+			transport.WithFaults(plan), transport.WithTracing(tracer, name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,10 +69,10 @@ func TestTracedQueryMixedVersionE2E(t *testing.T) {
 		return nd
 	}
 
-	root := mk(v1, ".", "")
+	root := mk(".", "")
 	children := make([]*Node, 0, nChildren)
 	for i := 0; i < nChildren; i++ {
-		c := mk(pooled, fmt.Sprintf("c%d", i), root.Addr())
+		c := mk(fmt.Sprintf("c%d", i), root.Addr())
 		if err := c.Join(ctx); err != nil {
 			t.Fatal(err)
 		}
@@ -127,9 +97,7 @@ func TestTracedQueryMixedVersionE2E(t *testing.T) {
 	plan.Partition(root.Addr(), od.Addr(), true)
 
 	// The test is the client: it forces sampling with a root span, like
-	// hoursq -trace, and calls the v1 root through the pooled transport
-	// (negotiated fallback), so both wire encodings of the trace context
-	// are on the path.
+	// hoursq -trace.
 	req, err := wire.New(wire.TypeQuery, wire.Query{
 		Target: od.Name(), Mode: wire.ModeHierarchical, TTL: 64, Trace: true,
 	})
@@ -164,50 +132,12 @@ func TestTracedQueryMixedVersionE2E(t *testing.T) {
 		t.Fatal("no spans recorded for the trace")
 	}
 
-	// One connected tree: exactly one root, no orphans.
-	roots := trace.BuildTree(spans)
-	if len(roots) != 1 {
-		t.Fatalf("trace has %d roots, want 1 connected tree", len(roots))
-	}
-	if roots[0].Span.Name != "query" || roots[0].Span.Node != "client" {
-		t.Fatalf("tree root is %s (%s), want the client span", roots[0].Span.Name, roots[0].Span.Node)
-	}
-	total := 0
-	var walk func(*trace.TreeNode)
-	var orphaned []*trace.TreeNode
-	walk = func(tn *trace.TreeNode) {
-		total++
-		if tn.Orphan {
-			orphaned = append(orphaned, tn)
-		}
-		for _, c := range tn.Children {
-			walk(c)
-		}
-	}
-	walk(roots[0])
-	if len(orphaned) != 0 {
-		t.Fatalf("%d orphan spans in the tree", len(orphaned))
-	}
-	if total != len(spans) {
-		t.Fatalf("tree holds %d spans, store has %d", total, len(spans))
-	}
-
-	// The server-span sequence is the hop sequence, and it matches the
-	// query's own path — including the v1 root as a traced hop.
-	var serve []wire.SpanRecord
-	for _, s := range spans {
-		if strings.HasPrefix(s.Name, "serve ") && s.Name == "serve query" {
-			serve = append(serve, s)
-		}
-	}
-	sort.Slice(serve, func(i, j int) bool { return serve[i].StartUnixNano < serve[j].StartUnixNano })
-	if len(serve) != len(qr.Path) {
-		t.Fatalf("%d server spans, path has %d hops: %v", len(serve), len(qr.Path), qr.Path)
-	}
-	for i, s := range serve {
-		if s.Node != qr.Path[i] {
-			t.Fatalf("server span %d on %q, path hop is %q (path %v)", i, s.Node, qr.Path[i], qr.Path)
-		}
+	// One connected tree — exactly one root, no orphans — whose
+	// server-span sequence is the hop sequence of the query's own path,
+	// the root included.
+	treeRoot := checkTraceTree(t, spans, qr.Path)
+	if treeRoot.Span.Name != "query" || treeRoot.Span.Node != "client" {
+		t.Fatalf("tree root is %s (%s), want the client span", treeRoot.Span.Name, treeRoot.Span.Node)
 	}
 
 	// The overlay segment (everything after the root's detour handoff)

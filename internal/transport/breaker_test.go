@@ -330,15 +330,12 @@ func TestRetryNonIdempotentNonOverloadStillSingleShot(t *testing.T) {
 	}
 }
 
-// TestStackOrderWithBreaker checks Stack assembles
+// TestStackOrderWithBreaker checks NewStack assembles
 // Retry→Breaker→Traced→…→base so every retry attempt consults the
 // breaker.
 func TestStackOrderWithBreaker(t *testing.T) {
-	st, err := Stack(StackConfig{
-		Base:    NewMem(),
-		Retry:   &RetryPolicy{MaxAttempts: 2},
-		Breaker: &BreakerPolicy{Threshold: 2},
-	})
+	st, err := NewStack(WithBase(NewMem()),
+		WithRetry(RetryPolicy{MaxAttempts: 2}), WithBreaker(BreakerPolicy{Threshold: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}

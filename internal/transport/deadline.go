@@ -1,7 +1,7 @@
 package transport
 
 // Wire-level deadline propagation and typed-error mapping, shared by the
-// one-shot (v1) and pooled/multiplexed (v2) socket transports.
+// one-shot and pooled/multiplexed socket transports.
 //
 // The caller's remaining context budget is stamped onto the request
 // envelope (Message.DL, milliseconds) just before it hits the socket;
@@ -50,7 +50,7 @@ func handlerContext(base context.Context, ioTimeout time.Duration, dlMillis int6
 // errorMessage encodes a handler failure as a wire error response,
 // preserving typed admission rejections (code + retry-after hint) so the
 // caller can reconstruct them.
-func errorMessage(err error) (wire.Message, error) {
+func errorMessage(err error) wire.Message {
 	e := &wire.Error{Reason: err.Error()}
 	var oe *OverloadedError
 	if errors.As(err, &oe) {
@@ -60,7 +60,20 @@ func errorMessage(err error) (wire.Message, error) {
 	// Typed: the serving connection's codec encodes it — binary on the
 	// hot shed path, where overload responses are exactly the traffic
 	// that must stay cheap.
-	return wire.Typed(wire.TypeError, e), nil
+	return wire.Typed(wire.TypeError, e)
+}
+
+// finishCall completes a client-side exchange: an error response comes
+// back as the typed error it encodes, anything else as the response.
+func finishCall(addr string, resp wire.Message) (wire.Message, error) {
+	if resp.Type != wire.TypeError {
+		return resp, nil
+	}
+	var e wire.Error
+	if err := resp.Decode(&e); err != nil {
+		return wire.Message{}, fmt.Errorf("call %s: undecodable error response: %w", addr, err)
+	}
+	return wire.Message{}, remoteError(addr, e)
 }
 
 // remoteError reconstructs a typed error from a decoded wire error

@@ -2,13 +2,15 @@ package transport
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/wire"
 )
+
+// Deadline propagation and typed-error round trips across both framings
+// are covered by TestDialerMatrix; the tests here pin the edges.
 
 // deadlineProbe is a handler that records the remaining budget its
 // context carried on entry.
@@ -52,82 +54,6 @@ func checkBudget(t *testing.T, rem, clientBudget time.Duration) {
 	if rem < clientBudget/4 {
 		t.Errorf("handler budget %v is far below the client's %v — budget mangled in transit", rem, clientBudget)
 	}
-}
-
-// TestDeadlinePropagationV1 checks the client's context deadline rides
-// the v1 length-prefixed envelope ("dl" field) and bounds the server
-// handler's context.
-func TestDeadlinePropagationV1(t *testing.T) {
-	probe := &deadlineProbe{}
-	tcp := &TCP{IOTimeout: 30 * time.Second}
-	closer, err := tcp.Listen("127.0.0.1:0", probe.handler)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closer.Close()
-	addr := closer.(*TCPListener).Addr()
-
-	const budget = 500 * time.Millisecond
-	ctx, cancel := context.WithTimeout(context.Background(), budget)
-	defer cancel()
-	if _, err := tcp.Call(ctx, addr, wire.Message{Type: wire.TypeProbe}); err != nil {
-		t.Fatal(err)
-	}
-	checkBudget(t, probe.last(t), budget)
-}
-
-// TestDeadlinePropagationV2 checks the same budget rides the v2 mux
-// header's deadline prefix.
-func TestDeadlinePropagationV2(t *testing.T) {
-	probe := &deadlineProbe{}
-	p, addr := poolPair(t, PoolConfig{IOTimeout: 30 * time.Second}, probe.handler)
-
-	const budget = 500 * time.Millisecond
-	ctx, cancel := context.WithTimeout(context.Background(), budget)
-	defer cancel()
-	if _, err := p.Call(ctx, addr, wire.Message{Type: wire.TypeProbe}); err != nil {
-		t.Fatal(err)
-	}
-	checkBudget(t, probe.last(t), budget)
-}
-
-// TestDeadlinePropagationMixedVersions pins the interop matrix: a v1
-// client against the sniffing pooled listener, and a pooled client
-// against a v1-only listener (preface rejected, dial-per-call fallback).
-// The budget must survive both wire formats.
-func TestDeadlinePropagationMixedVersions(t *testing.T) {
-	const budget = 500 * time.Millisecond
-
-	t.Run("v1-client-to-v2-listener", func(t *testing.T) {
-		probe := &deadlineProbe{}
-		_, addr := poolPair(t, PoolConfig{IOTimeout: 30 * time.Second}, probe.handler)
-		cli := &TCP{IOTimeout: 30 * time.Second}
-		ctx, cancel := context.WithTimeout(context.Background(), budget)
-		defer cancel()
-		if _, err := cli.Call(ctx, addr, wire.Message{Type: wire.TypeProbe}); err != nil {
-			t.Fatal(err)
-		}
-		checkBudget(t, probe.last(t), budget)
-	})
-
-	t.Run("v2-client-to-v1-listener", func(t *testing.T) {
-		probe := &deadlineProbe{}
-		srv := &TCP{IOTimeout: 30 * time.Second}
-		closer, err := srv.Listen("127.0.0.1:0", probe.handler)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer closer.Close()
-		addr := closer.(*TCPListener).Addr()
-		cli := NewPooledTCP(PoolConfig{IOTimeout: 30 * time.Second})
-		defer cli.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), budget)
-		defer cancel()
-		if _, err := cli.Call(ctx, addr, wire.Message{Type: wire.TypeProbe}); err != nil {
-			t.Fatal(err)
-		}
-		checkBudget(t, probe.last(t), budget)
-	})
 }
 
 // TestDeadlineNotStampedWithoutOne checks a context without a deadline
@@ -182,37 +108,4 @@ func TestServerShedsExpiredBudget(t *testing.T) {
 			t.Error("handler shed but the call still succeeded")
 		}
 	}
-}
-
-// TestOverloadErrorRoundTripsTCP checks a typed overload rejection —
-// code and retry-after hint — survives the v1 and v2 wire encodings.
-func TestOverloadErrorRoundTripsTCP(t *testing.T) {
-	shed := func(ctx context.Context, req wire.Message) (wire.Message, error) {
-		return wire.Message{}, &OverloadedError{RetryAfter: 35 * time.Millisecond}
-	}
-	t.Run("v2", func(t *testing.T) {
-		p, addr := poolPair(t, PoolConfig{}, shed)
-		_, err := p.Call(context.Background(), addr, wire.Message{Type: wire.TypeQuery})
-		if !errors.Is(err, ErrOverloaded) {
-			t.Fatalf("err = %v, want ErrOverloaded", err)
-		}
-		if hint := RetryAfterHint(err); hint != 35*time.Millisecond {
-			t.Errorf("hint = %v, want 35ms", hint)
-		}
-	})
-	t.Run("v1", func(t *testing.T) {
-		tcp := &TCP{}
-		closer, err := tcp.Listen("127.0.0.1:0", shed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer closer.Close()
-		_, err = tcp.Call(context.Background(), closer.(*TCPListener).Addr(), wire.Message{Type: wire.TypeQuery})
-		if !errors.Is(err, ErrOverloaded) {
-			t.Fatalf("err = %v, want ErrOverloaded", err)
-		}
-		if hint := RetryAfterHint(err); hint != 35*time.Millisecond {
-			t.Errorf("hint = %v, want 35ms", hint)
-		}
-	})
 }

@@ -83,7 +83,7 @@ func TestStackedCloseMidFlightNoLeak(t *testing.T) {
 	}
 	addr := closer.(*PooledListener).Addr()
 
-	st, err := Stack(StackConfig{Pool: PoolConfig{IdleTimeout: 100 * time.Millisecond}})
+	st, err := NewStack(WithPool(PoolConfig{IdleTimeout: 100 * time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,53 +12,16 @@ import (
 	"repro/internal/wire"
 )
 
-// errPeerIsV1 reports that the dialed peer rejected the mux preface — it
-// speaks the one-shot v1 framing and calls must fall back to
-// dial-per-call.
-var errPeerIsV1 = errors.New("transport: peer speaks one-shot framing")
-
-// errPeerNoBinary reports that the dialed peer did not ack the HRS3
-// (binary-codec) preface: an HRS2-only mux build or a v1 peer — the two
-// are indistinguishable from a closed connection, so the downgrade
-// ladder tries HRS2 next (sticky per addr) and only then falls to
-// one-shot framing.
-var errPeerNoBinary = errors.New("transport: peer speaks no binary codec")
-
-// codecHooks observe a connection's codec negotiation and wire bytes —
-// the hours_codec_* series. All fields are optional.
-type codecHooks struct {
-	negotiated func(c wire.Codec)
-	readBytes  func(c wire.Codec, n int)
-	wroteBytes func(c wire.Codec, n int)
-}
-
-// countingReader counts bytes read off a negotiated connection.
+// countingReader reports the bytes read off a mux connection to one
+// side's metrics (hours_codec_decode_bytes_total).
 type countingReader struct {
-	r     io.Reader
-	codec wire.Codec
-	f     func(wire.Codec, int)
+	r    io.Reader
+	side func() *sideMetrics
 }
 
 func (c *countingReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
-	if n > 0 && c.f != nil {
-		c.f(c.codec, n)
-	}
-	return n, err
-}
-
-// countingWriter counts bytes written to a negotiated connection.
-type countingWriter struct {
-	w     io.Writer
-	codec wire.Codec
-	f     func(wire.Codec, int)
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	if n > 0 && c.f != nil {
-		c.f(c.codec, n)
-	}
+	c.side().read(n)
 	return n, err
 }
 
@@ -66,49 +29,43 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // connection; the frame was never sent, so redialing is safe.
 var errConnDraining = errors.New("transport: connection draining")
 
+// errWriteFailed marks a call whose request frame never left this side:
+// the handler cannot have run, so the pool retries it on a fresh
+// connection without consulting idempotency.
+var errWriteFailed = errors.New("transport: request write failed")
+
 // muxResult carries one demultiplexed response to its waiting caller.
 type muxResult struct {
 	msg wire.Message
 	err error
 }
 
-// batchSettings parameterizes a connection's write coalescer; nil
-// disables batching (one write+flush per frame, the pre-batching
-// behavior).
+// batchSettings parameterizes a connection's write coalescer.
 type batchSettings struct {
 	linger   time.Duration // adaptive linger ceiling (0: natural batching only)
 	maxBytes int           // flush threshold
-	onFlush  func(frames, bytes int, linger time.Duration)
 }
 
-// muxConn is one multiplexed client connection: concurrent calls write
-// request frames tagged with fresh IDs, a single reader goroutine
-// dispatches response frames to the per-request channels. A muxConn
-// starts in the dialing state (ready open); callers may be assigned to it
-// before the dial finishes and block on ready. With batching enabled,
-// request frames are enqueued on a per-connection write coalescer that
-// packs concurrent requests into single flushes (see wire.Coalescer).
+// muxConn is one multiplexed client connection: concurrent calls enqueue
+// request frames tagged with fresh IDs on the connection's write
+// coalescer, which packs them into single flushes (see wire.Coalescer);
+// a single reader goroutine dispatches response frames to the
+// per-request channels. A muxConn starts in the dialing state (ready
+// open); callers may be assigned to it before the dial finishes and
+// block on ready.
 type muxConn struct {
 	addr  string
 	io    time.Duration
-	batch *batchSettings
-
-	// preferBinary offers the HRS3 (binary codec) preface on dial; a
-	// peer that does not ack it fails the dial with errPeerNoBinary and
-	// the pool redials with HRS2 (sticky per addr).
-	preferBinary bool
-	// codec is the negotiated body encoding, set before ready closes.
-	codec wire.Codec
-	// hooks observe negotiation and wire bytes (hours_codec_*); may be nil.
-	hooks *codecHooks
+	batch batchSettings
+	// side yields the dialing side's wire metrics (nil-safe; see
+	// sideMetrics).
+	side func() *sideMetrics
 
 	ready   chan struct{} // closed once dial+hello completed (or failed)
 	dialErr error         // set before ready closes
 
 	conn net.Conn
-	wc   io.Writer       // conn, wrapped for byte counting (unbatched writes)
-	wmu  sync.Mutex      // serializes frame writes (unbatched mode)
-	co   *wire.Coalescer // batched write path (nil when batching is off)
+	co   *wire.Coalescer // the only write path
 
 	mu       sync.Mutex
 	pending  map[uint64]chan muxResult
@@ -124,8 +81,8 @@ type muxConn struct {
 	onRetire   func(*muxConn)
 	retireOnce sync.Once
 
-	// spawn, when set, runs the read loop on a pool-tracked goroutine so
-	// the pool's Close can await its exit; nil means a plain go.
+	// spawn runs the read loop and the flusher on pool-tracked goroutines
+	// so the pool's Close can await their exit.
 	spawn func(func())
 	// onDead fires exactly once when the conn dies — it will never read
 	// or write again — so the pool can drop its registration.
@@ -133,35 +90,9 @@ type muxConn struct {
 	deadOnce sync.Once
 }
 
-// run starts f on a background goroutine, tracked when spawn is set.
-func (c *muxConn) run(f func()) {
-	if c.spawn != nil {
-		c.spawn(f)
-		return
-	}
-	go f()
-}
-
 // died fires the one-time dead notification.
 func (c *muxConn) died() {
-	c.deadOnce.Do(func() {
-		if c.onDead != nil {
-			c.onDead(c)
-		}
-	})
-}
-
-// newMuxConn returns a conn in the dialing state.
-func newMuxConn(addr string, ioTimeout time.Duration, batch *batchSettings, onRetire func(*muxConn)) *muxConn {
-	return &muxConn{
-		addr:     addr,
-		io:       ioTimeout,
-		batch:    batch,
-		ready:    make(chan struct{}),
-		pending:  make(map[uint64]chan muxResult),
-		idleAt:   time.Now(),
-		onRetire: onRetire,
-	}
+	c.deadOnce.Do(func() { c.onDead(c) })
 }
 
 // inflightCount samples the number of exchanges awaiting responses; it
@@ -173,125 +104,86 @@ func (c *muxConn) inflightCount() int {
 	return n
 }
 
-// dial establishes the connection and negotiates the mux protocol. On a
-// v1 peer (preface rejected after a successful TCP dial) dialErr is
-// errPeerIsV1. It always closes ready.
+// dial establishes the connection and completes the mux handshake. Any
+// failure — including a peer that accepts the TCP connection but does
+// not ack the preface, or acks another protocol version — leaves dialErr
+// wrapping ErrUnreachable; nothing is remembered about the address, so
+// the next call simply dials again. It always closes ready.
 func (c *muxConn) dial(ctx context.Context, dialTimeout time.Duration) {
 	defer close(c.ready)
 	d := net.Dialer{Timeout: dialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", c.addr)
+	if err == nil {
+		if err = c.handshake(conn); err != nil {
+			conn.Close()
+		}
+	}
 	if err != nil {
 		c.dialErr = fmt.Errorf("%w: %v", ErrUnreachable, err)
 		c.markDead(c.dialErr)
 		return
 	}
-	if err := conn.SetDeadline(time.Now().Add(c.io)); err != nil {
-		conn.Close()
-		c.dialErr = fmt.Errorf("%w: %v", ErrUnreachable, err)
-		c.markDead(c.dialErr)
-		return
-	}
-	magic, version := wire.MuxMagic, wire.MuxVersion
-	if c.preferBinary {
-		magic, version = wire.MuxMagicBinary, wire.MuxVersionBinary
-	}
-	if err := wire.WriteHelloMagic(conn, magic, version); err != nil {
-		conn.Close()
-		c.dialErr = fmt.Errorf("%w: %v", ErrUnreachable, err)
-		c.markDead(c.dialErr)
-		return
-	}
-	if ack, _, err := wire.ReadHelloMagic(conn); err != nil || ack != magic {
-		// The TCP dial succeeded but the peer did not ack the offered
-		// preface. After an HRS3 offer that means "no binary codec here"
-		// (an HRS2-only build or a v1 server — both just close), so the
-		// pool redials with HRS2; after an HRS2 offer it means a v1
-		// server read the magic as an oversized length, so calls fall
-		// back to one-shot framing.
-		conn.Close()
-		refusal := errPeerIsV1
-		if c.preferBinary {
-			refusal = errPeerNoBinary
-		}
-		c.dialErr = refusal
-		c.markDead(refusal)
-		return
-	}
-	c.codec = wire.JSON
-	if magic == wire.MuxMagicBinary {
-		c.codec = wire.Binary
-	}
-	if c.hooks != nil && c.hooks.negotiated != nil {
-		c.hooks.negotiated(c.codec)
-	}
-	// Clear the handshake deadline; per-exchange bounds are enforced by
-	// the callers' timers and the write deadlines.
-	if err := conn.SetDeadline(time.Time{}); err != nil {
-		conn.Close()
-		c.dialErr = fmt.Errorf("%w: %v", ErrUnreachable, err)
-		c.markDead(c.dialErr)
-		return
-	}
-	var wc io.Writer = conn
-	if c.hooks != nil && c.hooks.wroteBytes != nil {
-		wc = &countingWriter{w: conn, codec: c.codec, f: c.hooks.wroteBytes}
-	}
-	var co *wire.Coalescer
-	if c.batch != nil {
-		co = wire.NewCoalescer(wire.CoalescerConfig{
-			Write: func(b []byte) error {
-				if err := conn.SetWriteDeadline(time.Now().Add(c.io)); err != nil {
-					return err
-				}
-				_, err := wc.Write(b)
+	co := wire.NewCoalescer(wire.CoalescerConfig{
+		Write: func(b []byte) error {
+			if err := conn.SetWriteDeadline(time.Now().Add(c.io)); err != nil {
 				return err
-			},
-			MaxBytes:  c.batch.maxBytes,
-			MaxLinger: c.batch.linger,
-			Inflight:  c.inflightCount,
-			OnFlush:   c.batch.onFlush,
-			OnError: func(err error) {
-				// Runs on the flusher goroutine: fail calls Shutdown (not
-				// Close), so this cannot deadlock.
-				c.fail(fmt.Errorf("%w: %v", ErrUnreachable, err))
-			},
-			Codec: c.codec,
-		})
-	}
+			}
+			n, err := conn.Write(b)
+			c.side().wrote(n)
+			return err
+		},
+		MaxBytes:  c.batch.maxBytes,
+		MaxLinger: c.batch.linger,
+		Inflight:  c.inflightCount,
+		OnFlush:   func(frames, bytes int, linger time.Duration) { c.side().flushed(frames, bytes, linger) },
+		OnError: func(err error) {
+			// Runs on the flusher goroutine: fail calls Shutdown (not
+			// Close), so this cannot deadlock.
+			c.fail(fmt.Errorf("%w: %v", ErrUnreachable, err))
+		},
+	})
 	c.mu.Lock()
 	c.conn = conn
-	c.wc = wc
 	c.co = co
 	dead := c.dead
 	c.mu.Unlock()
 	if dead { // lost a race with fail (e.g. pool closed mid-dial)
-		if co != nil {
-			co.Shutdown() // never ran; just marks it closed
-		}
+		co.Shutdown() // never ran; just marks it closed
 		conn.Close()
 		return
 	}
-	if co != nil {
-		c.run(co.Run)
+	c.spawn(co.Run)
+	c.spawn(c.readLoop)
+}
+
+// handshake exchanges the mux preface and ack under the IO deadline,
+// then clears it: per-exchange bounds are enforced by the callers'
+// timers and the write deadlines.
+func (c *muxConn) handshake(conn net.Conn) error {
+	if err := conn.SetDeadline(time.Now().Add(c.io)); err != nil {
+		return err
 	}
-	c.run(c.readLoop)
+	if err := wire.WriteHello(conn); err != nil {
+		return err
+	}
+	if err := wire.ReadHello(conn); err != nil {
+		return err
+	}
+	return conn.SetDeadline(time.Time{})
 }
 
 // readLoop demultiplexes response frames until the connection breaks.
 // The scratch buffer is reused across frames: decoded payloads are
-// copied out by the JSON layer, so the next read may clobber it.
+// copied out by the codec, so the next read may clobber it.
 func (c *muxConn) readLoop() {
-	var r io.Reader = c.conn
-	if c.hooks != nil && c.hooks.readBytes != nil {
-		r = &countingReader{r: c.conn, codec: c.codec, f: c.hooks.readBytes}
-	}
+	r := &countingReader{r: c.conn, side: c.side}
 	var scratch []byte
 	for {
 		var kind wire.FrameKind
 		var id uint64
 		var msg wire.Message
 		var err error
-		kind, id, msg, scratch, err = wire.ReadMuxFrameBufferCodec(r, scratch, c.codec)
+		kind, id, msg, scratch, err = wire.ReadMuxFrame(r, scratch)
 		if err != nil {
 			c.fail(fmt.Errorf("%w: %v", ErrUnreachable, err))
 			return
@@ -321,11 +213,7 @@ func (c *muxConn) readLoop() {
 
 // retire detaches the conn from its pool slot (idempotent).
 func (c *muxConn) retire() {
-	c.retireOnce.Do(func() {
-		if c.onRetire != nil {
-			c.onRetire(c)
-		}
-	})
+	c.retireOnce.Do(func() { c.onRetire(c) })
 }
 
 // markDead flags the conn dead without touching the socket (dial-stage
@@ -420,26 +308,13 @@ func (c *muxConn) call(ctx context.Context, req wire.Message) (wire.Message, err
 	id := c.nextID
 	ch := make(chan muxResult, 1)
 	c.pending[id] = ch
-	conn := c.conn
-	wc := c.wc
 	co := c.co
 	c.mu.Unlock()
 
-	var err error
-	if co != nil {
-		// Batched path: enqueue on the coalescer. An error here means the
-		// frame was never buffered (a failed flush can only involve frames
-		// enqueued before it), so redialing stays safe.
-		err = co.WriteMuxFrame(wire.FrameRequest, id, req)
-	} else {
-		c.wmu.Lock()
-		err = conn.SetWriteDeadline(time.Now().Add(c.io))
-		if err == nil {
-			err = wire.WriteMuxFrameCodec(wc, wire.FrameRequest, id, req, c.codec)
-		}
-		c.wmu.Unlock()
-	}
-	if err != nil {
+	// An enqueue error means the frame was never buffered (a failed flush
+	// can only involve frames enqueued before it), so redialing stays
+	// safe.
+	if err := co.WriteMuxFrame(wire.FrameRequest, id, req); err != nil {
 		c.forget(id)
 		c.fail(fmt.Errorf("%w: %v", ErrUnreachable, err))
 		return wire.Message{}, fmt.Errorf("%w: %v", errWriteFailed, err)
@@ -463,11 +338,6 @@ func (c *muxConn) call(ctx context.Context, req wire.Message) (wire.Message, err
 		return wire.Message{}, fmt.Errorf("%w: response timeout after %v", ErrUnreachable, c.io)
 	}
 }
-
-// errWriteFailed marks a call whose request frame never left this side:
-// the handler cannot have run, so the pool retries it on a fresh
-// connection without consulting idempotency.
-var errWriteFailed = errors.New("transport: request write failed")
 
 // forget abandons a pending request ID.
 func (c *muxConn) forget(id uint64) {

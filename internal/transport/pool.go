@@ -4,12 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
@@ -41,16 +39,6 @@ type PoolConfig struct {
 	// BatchMaxBytes flushes a batch once it reaches this size; zero means
 	// 64 KiB.
 	BatchMaxBytes int
-	// NoBatching disables the write coalescer entirely: every frame is
-	// its own write syscall (the pre-batching behavior).
-	NoBatching bool
-	// Codec selects the preferred frame-body encoding: "binary" (or
-	// empty, the default) offers the HRS3 preface and falls back to JSON
-	// per peer when it is not acked; "json" pins the HRS2/JSON encoding —
-	// dials never offer binary and the listener declines HRS3 prefaces
-	// (exactly like a pre-binary build), forcing binary-preferring
-	// dialers down the ladder.
-	Codec string
 }
 
 // DefaultBatchLinger is the default ceiling of the adaptive per-flush
@@ -89,102 +77,9 @@ func (c PoolConfig) withDefaults() PoolConfig {
 	return c
 }
 
-// poolMetrics is the pool's per-layer series (nil without a registry).
-type poolMetrics struct {
-	dials     *obs.Counter
-	reuse     *obs.Counter
-	fallbacks *obs.Counter
-	evictions *obs.Counter
-	retired   *obs.Counter
-	redials   *obs.Counter
-	connsOpen *obs.Gauge
-
-	client batchMetrics // flushes of request frames (this side dials)
-	server batchMetrics // flushes of response frames (this side listens)
-
-	codecClient codecMetrics // negotiation + wire bytes, dialing side
-	codecServer codecMetrics // negotiation + wire bytes, listening side
-}
-
-// codecMetrics is one side's hours_codec_* series: which codec each mux
-// connection negotiated and how many encoded/decoded wire bytes flowed
-// under it.
-type codecMetrics struct {
-	binary codecSeries
-	json   codecSeries
-}
-
-// codecSeries is the per-codec triple.
-type codecSeries struct {
-	negotiated *obs.Counter
-	encBytes   *obs.Counter
-	decBytes   *obs.Counter
-}
-
-// newCodecMetrics registers one side's hours_codec_* series.
-func newCodecMetrics(reg *obs.Registry, side string) codecMetrics {
-	series := func(codec string) codecSeries {
-		c, s := obs.L("codec", codec), obs.L("side", side)
-		return codecSeries{
-			negotiated: reg.Counter("hours_codec_negotiated_total", c, s),
-			encBytes:   reg.Counter("hours_codec_encode_bytes_total", c, s),
-			decBytes:   reg.Counter("hours_codec_decode_bytes_total", c, s),
-		}
-	}
-	return codecMetrics{binary: series("binary"), json: series("json")}
-}
-
-// series picks the triple for a negotiated codec.
-func (c *codecMetrics) series(codec wire.Codec) *codecSeries {
-	if codec == wire.Binary {
-		return &c.binary
-	}
-	return &c.json
-}
-
-// batchMetrics observes one side's write coalescing: how many flushes
-// happened, how many frames and bytes they carried, how many write
-// syscalls batching saved, and the distribution of batch sizes and
-// lingers.
-type batchMetrics struct {
-	flushes     *obs.Counter
-	frames      *obs.Counter
-	bytes       *obs.Counter
-	writesSaved *obs.Counter
-	perFlush    *obs.Histogram // frames per flush (unitless, bounds 1..64)
-	linger      *obs.Histogram // linger applied before each flush
-}
-
-// framesPerFlushBuckets are the bucket bounds for the frames-per-flush
-// histogram: batch sizes, not latencies.
-var framesPerFlushBuckets = []float64{1, 2, 4, 8, 16, 32, 64}
-
-// newBatchMetrics registers one side's hours_batch_* series.
-func newBatchMetrics(reg *obs.Registry, side string) batchMetrics {
-	l := obs.L("side", side)
-	return batchMetrics{
-		flushes:     reg.Counter("hours_batch_flushes_total", l),
-		frames:      reg.Counter("hours_batch_frames_total", l),
-		bytes:       reg.Counter("hours_batch_bytes_total", l),
-		writesSaved: reg.Counter("hours_batch_writes_saved_total", l),
-		perFlush:    reg.HistogramWith("hours_batch_frames_per_flush", framesPerFlushBuckets, l),
-		linger:      reg.Histogram("hours_batch_linger_seconds", l),
-	}
-}
-
-// record observes one completed flush.
-func (b *batchMetrics) record(frames, bytes int, linger time.Duration) {
-	if b.flushes == nil {
-		return
-	}
-	b.flushes.Inc()
-	b.frames.Add(int64(frames))
-	b.bytes.Add(int64(bytes))
-	b.writesSaved.Add(int64(frames - 1))
-	// The per-flush histogram reuses the duration-based Observe: one
-	// "second" per frame in the batch.
-	b.perFlush.Observe(time.Duration(frames) * time.Second)
-	b.linger.Observe(linger)
+// batch returns the per-connection coalescer parameters.
+func (c PoolConfig) batch() batchSettings {
+	return batchSettings{linger: c.BatchLinger, maxBytes: c.BatchMaxBytes}
 }
 
 // peerPool is the bounded connection set for one destination address.
@@ -201,22 +96,19 @@ type peerPool struct {
 // PooledTCP is a Transport over persistent, multiplexed TCP connections:
 // a bounded per-peer pool of connections, concurrent request pipelining
 // with per-request response demultiplexing, idle eviction, and
-// retire-and-redial of broken connections. Peers that predate the mux
-// protocol are detected during the connection preface and served by
-// one-shot dial-per-call framing, so mixed-version deployments
-// interoperate. Close drains in-flight calls before tearing the pool
-// down.
+// retire-and-redial of broken connections. It dials the binary mux
+// protocol only: a peer that does not ack the preface is ErrUnreachable,
+// and nothing is remembered per address — a slow or failed handshake
+// never degrades later calls (DESIGN.md §8). Close drains in-flight
+// calls before tearing the pool down.
 //
-// Its Listen side serves both protocol versions by sniffing each accepted
-// connection's first bytes.
+// Its Listen side is the shared listener (see listener.go), which also
+// answers one-shot clients.
 type PooledTCP struct {
-	cfg     PoolConfig
-	oneShot TCP // negotiated fallback path for v1 peers
+	cfg PoolConfig
 
 	mu      sync.Mutex
 	peers   map[string]*peerPool
-	v1      map[string]bool // peers that rejected the mux preface
-	noBin   map[string]bool // mux peers that declined the binary codec
 	closed  bool
 	stop    chan struct{}
 	janitor bool
@@ -237,7 +129,7 @@ type PooledTCP struct {
 	connMu   sync.Mutex
 	allConns map[*muxConn]struct{}
 
-	m *poolMetrics
+	m atomic.Pointer[poolMetrics] // published by SetMetrics
 }
 
 var _ Transport = (*PooledTCP)(nil)
@@ -247,10 +139,7 @@ func NewPooledTCP(cfg PoolConfig) *PooledTCP {
 	cfg = cfg.withDefaults()
 	p := &PooledTCP{
 		cfg:      cfg,
-		oneShot:  TCP{DialTimeout: cfg.DialTimeout, IOTimeout: cfg.IOTimeout},
 		peers:    make(map[string]*peerPool),
-		v1:       make(map[string]bool),
-		noBin:    make(map[string]bool),
 		stop:     make(chan struct{}),
 		allConns: make(map[*muxConn]struct{}),
 	}
@@ -280,99 +169,6 @@ func (p *PooledTCP) forgetConn(c *muxConn) {
 	p.connMu.Lock()
 	delete(p.allConns, c)
 	p.connMu.Unlock()
-}
-
-// SetMetrics registers the pool's own series (dials, reuse, evictions,
-// fallbacks) in reg. Call before the first Call; nil is a no-op.
-func (p *PooledTCP) SetMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	p.m = &poolMetrics{
-		dials:       reg.Counter("hours_pool_dials_total"),
-		reuse:       reg.Counter("hours_pool_conn_reuse_total"),
-		fallbacks:   reg.Counter("hours_pool_fallback_calls_total"),
-		evictions:   reg.Counter("hours_pool_idle_evictions_total"),
-		retired:     reg.Counter("hours_pool_conns_retired_total"),
-		redials:     reg.Counter("hours_pool_redials_total"),
-		connsOpen:   reg.Gauge("hours_pool_conns_open"),
-		client:      newBatchMetrics(reg, "client"),
-		server:      newBatchMetrics(reg, "server"),
-		codecClient: newCodecMetrics(reg, "client"),
-		codecServer: newCodecMetrics(reg, "server"),
-	}
-}
-
-// clientCodecHooks observes dial-side codec negotiation and wire bytes;
-// p.m is read at call time so SetMetrics may run after connections
-// exist.
-func (p *PooledTCP) clientCodecHooks() *codecHooks {
-	return &codecHooks{
-		negotiated: func(c wire.Codec) {
-			if m := p.m; m != nil {
-				m.codecClient.series(c).negotiated.Inc()
-			}
-		},
-		readBytes: func(c wire.Codec, n int) {
-			if m := p.m; m != nil {
-				m.codecClient.series(c).decBytes.Add(int64(n))
-			}
-		},
-		wroteBytes: func(c wire.Codec, n int) {
-			if m := p.m; m != nil {
-				m.codecClient.series(c).encBytes.Add(int64(n))
-			}
-		},
-	}
-}
-
-// serverCodecHooks is the listening-side counterpart.
-func (p *PooledTCP) serverCodecHooks() *codecHooks {
-	return &codecHooks{
-		negotiated: func(c wire.Codec) {
-			if m := p.m; m != nil {
-				m.codecServer.series(c).negotiated.Inc()
-			}
-		},
-		readBytes: func(c wire.Codec, n int) {
-			if m := p.m; m != nil {
-				m.codecServer.series(c).decBytes.Add(int64(n))
-			}
-		},
-		wroteBytes: func(c wire.Codec, n int) {
-			if m := p.m; m != nil {
-				m.codecServer.series(c).encBytes.Add(int64(n))
-			}
-		},
-	}
-}
-
-// recordClientFlush observes a request-side coalesced flush; it reads
-// p.m at call time so SetMetrics may run after connections exist.
-func (p *PooledTCP) recordClientFlush(frames, bytes int, linger time.Duration) {
-	if m := p.m; m != nil {
-		m.client.record(frames, bytes, linger)
-	}
-}
-
-// recordServerFlush observes a response-side coalesced flush.
-func (p *PooledTCP) recordServerFlush(frames, bytes int, linger time.Duration) {
-	if m := p.m; m != nil {
-		m.server.record(frames, bytes, linger)
-	}
-}
-
-// batchSettingsFor returns the per-connection coalescer parameters for
-// one side, or nil when batching is disabled.
-func (p *PooledTCP) batchSettingsFor(onFlush func(int, int, time.Duration)) *batchSettings {
-	if p.cfg.NoBatching {
-		return nil
-	}
-	return &batchSettings{
-		linger:   p.cfg.BatchLinger,
-		maxBytes: p.cfg.BatchMaxBytes,
-		onFlush:  onFlush,
-	}
 }
 
 // peer returns (creating on demand) the pool for addr.
@@ -424,8 +220,8 @@ func (p *PooledTCP) janitorLoop() {
 			for _, c := range evict {
 				// close → retire handles the conns-open gauge.
 				c.close()
-				if p.m != nil {
-					p.m.evictions.Inc()
+				if m := p.m.Load(); m != nil {
+					m.evictions.Inc()
 				}
 			}
 		}
@@ -445,6 +241,7 @@ func (p *PooledTCP) acquire(ctx context.Context, addr string) (*muxConn, func(),
 		return nil, nil, ErrClosed
 	}
 
+	m := p.m.Load()
 	pp.mu.Lock()
 	var pick *muxConn
 	for _, c := range pp.conns {
@@ -459,18 +256,31 @@ func (p *PooledTCP) acquire(ctx context.Context, addr string) (*muxConn, func(),
 	if pick == nil {
 		// Every listed conn is full, dead, or draining; the semaphore
 		// guarantees a slot is free (dead/draining conns are detached by
-		// onRetire, so the list holds only usable-or-full conns).
-		pick = newMuxConn(addr, p.cfg.IOTimeout, p.batchSettingsFor(p.recordClientFlush), func(c *muxConn) {
-			pp.detach(c)
-			if p.m != nil {
-				p.m.retired.Inc()
-				p.m.connsOpen.Add(-1)
-			}
-		})
-		pick.preferBinary = p.preferBinary(addr)
-		pick.hooks = p.clientCodecHooks()
-		pick.spawn = p.goBg
-		pick.onDead = p.forgetConn
+		// onRetire, so the list holds only usable-or-full conns). The new
+		// conn opens and retires against the same metrics snapshot, so the
+		// open-conns gauge balances even if SetMetrics runs in between.
+		if m != nil {
+			m.dials.Inc()
+			m.connsOpen.Add(1)
+		}
+		pick = &muxConn{
+			addr:    addr,
+			io:      p.cfg.IOTimeout,
+			batch:   p.cfg.batch(),
+			side:    p.clientSide,
+			ready:   make(chan struct{}),
+			pending: make(map[uint64]chan muxResult),
+			idleAt:  time.Now(),
+			onRetire: func(c *muxConn) {
+				pp.detach(c)
+				if m != nil {
+					m.retired.Inc()
+					m.connsOpen.Add(-1)
+				}
+			},
+			spawn:  p.goBg,
+			onDead: p.forgetConn,
+		}
 		p.trackConn(pick)
 		pp.conns = append(pp.conns, pick)
 		dialed = true
@@ -481,15 +291,11 @@ func (p *PooledTCP) acquire(ctx context.Context, addr string) (*muxConn, func(),
 	pp.mu.Unlock()
 
 	if dialed {
-		if p.m != nil {
-			p.m.dials.Inc()
-			p.m.connsOpen.Add(1)
-		}
 		// The dial descends from the pool's context, so Close aborts
 		// dials still in flight instead of waiting out their timeout.
 		p.goBg(func() { pick.dial(p.baseCtx, p.cfg.DialTimeout) })
-	} else if p.m != nil {
-		p.m.reuse.Inc()
+	} else if m != nil {
+		m.reuse.Inc()
 	}
 
 	release := func() {
@@ -528,37 +334,9 @@ func (c *muxConn) loadLess(o *muxConn) bool {
 	return a < b
 }
 
-// markV1 records that addr speaks the one-shot protocol.
-func (p *PooledTCP) markV1(addr string) {
-	p.mu.Lock()
-	p.v1[addr] = true
-	p.mu.Unlock()
-}
-
-// markNoBinary records that addr declined the HRS3 preface; subsequent
-// dials there offer HRS2 directly (sticky downgrade).
-func (p *PooledTCP) markNoBinary(addr string) {
-	p.mu.Lock()
-	p.noBin[addr] = true
-	p.mu.Unlock()
-}
-
-// preferBinary reports whether a fresh dial to addr should offer the
-// binary codec: the pool is configured for it and addr never declined.
-func (p *PooledTCP) preferBinary(addr string) bool {
-	if p.cfg.Codec == "json" {
-		return false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return !p.noBin[addr]
-}
-
 // Call implements Transport: it multiplexes the request over a pooled
 // connection to addr, transparently redialing once when the pooled
-// connection broke before the request could be written, and falling back
-// to one-shot dial-per-call framing for peers that rejected the mux
-// preface.
+// connection broke before the request could be written.
 func (p *PooledTCP) Call(ctx context.Context, addr string, req wire.Message) (wire.Message, error) {
 	if err := ctx.Err(); err != nil {
 		return wire.Message{}, fmt.Errorf("call %s: %w: %v", addr, ErrUnreachable, err)
@@ -569,7 +347,6 @@ func (p *PooledTCP) Call(ctx context.Context, addr string, req wire.Message) (wi
 		return wire.Message{}, fmt.Errorf("call %s: %w", addr, ErrClosed)
 	}
 	p.calls.Add(1)
-	isV1 := p.v1[addr]
 	if !p.janitor {
 		p.janitor = true
 		p.goBg(p.janitorLoop)
@@ -579,21 +356,10 @@ func (p *PooledTCP) Call(ctx context.Context, addr string, req wire.Message) (wi
 
 	req = stampDeadline(ctx, req)
 
-	if isV1 {
-		if p.m != nil {
-			p.m.fallbacks.Inc()
-		}
-		return p.oneShot.Call(ctx, addr, req)
-	}
-
 	// One transparent redial: a conn that died or drained before this
 	// request was written cannot have executed it, so retrying on a fresh
-	// conn is safe for every message type. A declined binary preface
-	// consumes no attempt — the downgrade ladder (HRS3 → HRS2 → one-shot)
-	// grants one extra dial, after which the sticky noBin mark keeps
-	// every later dial to that addr on HRS2 from the start.
+	// conn is safe for every message type.
 	var lastErr error
-	downgraded := false
 	for attempt := 0; attempt < 2; attempt++ {
 		c, release, err := p.acquire(ctx, addr)
 		if err != nil {
@@ -602,45 +368,17 @@ func (p *PooledTCP) Call(ctx context.Context, addr string, req wire.Message) (wi
 		resp, err := c.call(ctx, req)
 		release()
 		if err == nil {
-			return p.finish(addr, resp)
-		}
-		if errors.Is(err, errPeerNoBinary) {
-			p.markNoBinary(addr)
-			if !downgraded {
-				downgraded = true
-				attempt--
-			}
-			continue
-		}
-		if errors.Is(err, errPeerIsV1) {
-			p.markV1(addr)
-			if p.m != nil {
-				p.m.fallbacks.Inc()
-			}
-			return p.oneShot.Call(ctx, addr, req)
+			return finishCall(addr, resp)
 		}
 		lastErr = err
-		if errors.Is(err, errWriteFailed) || errors.Is(err, errConnDraining) {
-			if p.m != nil {
-				p.m.redials.Inc()
-			}
-			continue
+		if !errors.Is(err, errWriteFailed) && !errors.Is(err, errConnDraining) {
+			break
 		}
-		break
+		if m := p.m.Load(); m != nil {
+			m.redials.Inc()
+		}
 	}
 	return wire.Message{}, fmt.Errorf("call %s: %w", addr, lastErr)
-}
-
-// finish maps a remote error response, mirroring the one-shot client.
-func (p *PooledTCP) finish(addr string, resp wire.Message) (wire.Message, error) {
-	if resp.Type == wire.TypeError {
-		var e wire.Error
-		if err := resp.Decode(&e); err != nil {
-			return wire.Message{}, fmt.Errorf("call %s: undecodable error response: %w", addr, err)
-		}
-		return wire.Message{}, remoteError(addr, e)
-	}
-	return resp, nil
 }
 
 // Close gracefully drains the pool: new calls fail with ErrClosed,
@@ -687,356 +425,4 @@ func (p *PooledTCP) Close() error {
 	p.cancelBg()
 	p.bg.Wait()
 	return nil
-}
-
-// Listen implements Transport: it serves both the multiplexed v2
-// protocol and the one-shot v1 framing, selected per connection by
-// sniffing the first four bytes (see wire.IsMuxPreface). The returned
-// closer is a *PooledListener.
-func (p *PooledTCP) Listen(addr string, h Handler) (io.Closer, error) {
-	if h == nil {
-		return nil, fmt.Errorf("transport: listen needs a handler")
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
-	}
-	l := &muxListener{
-		ln:           ln,
-		h:            h,
-		io:           p.cfg.IOTimeout,
-		idle:         2 * p.cfg.IdleTimeout,
-		maxInflight:  p.cfg.MaxInflightPerConn,
-		batch:        p.batchSettingsFor(p.recordServerFlush),
-		acceptBinary: p.cfg.Codec != "json",
-		hooks:        p.serverCodecHooks(),
-		stop:         make(chan struct{}),
-		conns:        make(map[net.Conn]struct{}),
-	}
-	l.baseCtx, l.cancel = context.WithCancel(context.Background())
-	l.wg.Add(1)
-	go l.acceptLoop()
-	return &PooledListener{l: l}, nil
-}
-
-// PooledListener exposes the bound address of a pooled listener.
-type PooledListener struct {
-	l *muxListener
-}
-
-// Addr returns the bound address (useful with ":0").
-func (p *PooledListener) Addr() string { return p.l.ln.Addr().String() }
-
-// Close stops accepting, announces GoAway on every mux connection,
-// cancels in-flight handlers, closes the sockets, and waits for handlers
-// to drain.
-func (p *PooledListener) Close() error {
-	var err error
-	p.l.once.Do(func() {
-		close(p.l.stop)
-		p.l.goAwayAll()
-		p.l.cancel()
-		err = p.l.ln.Close()
-		p.l.closeConns()
-		p.l.wg.Wait()
-	})
-	return err
-}
-
-// muxListener serves sniffed v1/v2 connections until closed.
-type muxListener struct {
-	ln          net.Listener
-	h           Handler
-	io          time.Duration
-	idle        time.Duration
-	maxInflight int
-	batch       *batchSettings // response coalescing (nil: one write per frame)
-	// acceptBinary acks HRS3 prefaces; false (Codec "json") closes them
-	// unacked, exactly like a pre-binary build, so dialers downgrade.
-	acceptBinary bool
-	hooks        *codecHooks // hours_codec_* observation; may be nil
-
-	wg      sync.WaitGroup
-	once    sync.Once
-	stop    chan struct{}
-	baseCtx context.Context
-	cancel  context.CancelFunc
-
-	mu    sync.Mutex
-	conns map[net.Conn]struct{}
-	wmus  map[net.Conn]*sync.Mutex
-}
-
-// track registers a live mux conn and returns its write mutex.
-func (l *muxListener) track(conn net.Conn) *sync.Mutex {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.wmus == nil {
-		l.wmus = make(map[net.Conn]*sync.Mutex)
-	}
-	l.conns[conn] = struct{}{}
-	mu := &sync.Mutex{}
-	l.wmus[conn] = mu
-	return mu
-}
-
-// untrack removes a finished conn.
-func (l *muxListener) untrack(conn net.Conn) {
-	l.mu.Lock()
-	delete(l.conns, conn)
-	delete(l.wmus, conn)
-	l.mu.Unlock()
-}
-
-// goAwayAll best-effort announces shutdown to every mux peer so clients
-// retire the connections instead of assigning new requests to them.
-func (l *muxListener) goAwayAll() {
-	l.mu.Lock()
-	type cw struct {
-		c  net.Conn
-		mu *sync.Mutex
-	}
-	var all []cw
-	for c := range l.conns {
-		all = append(all, cw{c, l.wmus[c]})
-	}
-	l.mu.Unlock()
-	for _, x := range all {
-		x.mu.Lock()
-		_ = x.c.SetWriteDeadline(time.Now().Add(100 * time.Millisecond))
-		_ = wire.WriteMuxFrame(x.c, wire.FrameGoAway, 0, wire.Message{})
-		x.mu.Unlock()
-	}
-}
-
-// closeConns force-closes every tracked connection.
-func (l *muxListener) closeConns() {
-	l.mu.Lock()
-	conns := make([]net.Conn, 0, len(l.conns))
-	for c := range l.conns {
-		conns = append(conns, c)
-	}
-	l.mu.Unlock()
-	for _, c := range conns {
-		_ = c.Close()
-	}
-}
-
-// acceptLoop mirrors the one-shot listener: transient accept errors back
-// off exponentially (capped), Close exits the loop.
-func (l *muxListener) acceptLoop() {
-	defer l.wg.Done()
-	delay := time.Duration(0)
-	for {
-		conn, err := l.ln.Accept()
-		if err != nil {
-			select {
-			case <-l.stop:
-				return
-			default:
-			}
-			if delay == 0 {
-				delay = acceptBackoffMin
-			} else if delay *= 2; delay > acceptBackoffMax {
-				delay = acceptBackoffMax
-			}
-			t := time.NewTimer(delay)
-			select {
-			case <-t.C:
-			case <-l.stop:
-				t.Stop()
-				return
-			}
-			continue
-		}
-		delay = 0
-		l.wg.Add(1)
-		go l.serveConn(conn)
-	}
-}
-
-// serveConn sniffs the protocol version and dispatches: the mux preface
-// selects the multiplexed loop, anything else is a v1 length prefix and
-// the connection serves one request.
-func (l *muxListener) serveConn(conn net.Conn) {
-	defer l.wg.Done()
-	defer conn.Close()
-	if err := conn.SetReadDeadline(time.Now().Add(l.io)); err != nil {
-		return
-	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-		return
-	}
-	codec := wire.JSON
-	switch {
-	case wire.IsMuxPreface(hdr):
-	case wire.IsBinaryMuxPreface(hdr):
-		if !l.acceptBinary {
-			// Close without an ack — indistinguishable from a pre-binary
-			// build, which is exactly what a "json"-pinned listener
-			// impersonates; the dialer downgrades to HRS2 and redials.
-			return
-		}
-		codec = wire.Binary
-	default:
-		l.serveOneShot(conn, hdr)
-		return
-	}
-	if _, err := wire.FinishHello(conn); err != nil {
-		return
-	}
-	if err := conn.SetWriteDeadline(time.Now().Add(l.io)); err != nil {
-		return
-	}
-	// Ack with the magic that was offered: the dialer checks the echo.
-	magic, version := wire.MuxMagic, wire.MuxVersion
-	if codec == wire.Binary {
-		magic, version = wire.MuxMagicBinary, wire.MuxVersionBinary
-	}
-	if err := wire.WriteHelloMagic(conn, magic, version); err != nil {
-		return
-	}
-	if l.hooks != nil && l.hooks.negotiated != nil {
-		l.hooks.negotiated(codec)
-	}
-	l.serveMux(conn, codec)
-}
-
-// serveOneShot finishes a v1 exchange whose length prefix was sniffed.
-func (l *muxListener) serveOneShot(conn net.Conn, hdr [4]byte) {
-	if err := conn.SetDeadline(time.Now().Add(l.io)); err != nil {
-		return
-	}
-	req, err := wire.ReadFrameWithHeader(conn, hdr)
-	if err != nil {
-		return
-	}
-	ctx, cancel := handlerContext(l.baseCtx, l.io, req.DL)
-	defer cancel()
-	req.DL = 0
-	resp, err := l.h(ctx, req)
-	if err != nil {
-		errMsg, encErr := errorMessage(err)
-		if encErr != nil {
-			return
-		}
-		resp = errMsg
-	}
-	_ = wire.WriteFrame(conn, resp)
-}
-
-// serveMux runs the multiplexed request loop: each request frame is
-// handled in its own goroutine and answered with a same-ID response
-// frame; a bounded semaphore enforces the per-conn in-flight cap by
-// pausing the read loop (backpressure) when the peer over-pipelines.
-func (l *muxListener) serveMux(conn net.Conn, codec wire.Codec) {
-	wmu := l.track(conn)
-	defer l.untrack(conn)
-	sem := make(chan struct{}, l.maxInflight)
-
-	// Wrap the socket for hours_codec_* byte counting when observed.
-	var cw io.Writer = conn
-	var cr io.Reader = conn
-	if l.hooks != nil {
-		if l.hooks.wroteBytes != nil {
-			cw = &countingWriter{w: conn, codec: codec, f: l.hooks.wroteBytes}
-		}
-		if l.hooks.readBytes != nil {
-			cr = &countingReader{r: conn, codec: codec, f: l.hooks.readBytes}
-		}
-	}
-
-	// Response coalescing: handler goroutines enqueue response frames and
-	// a per-connection flusher batches them onto the socket, so a node
-	// answering a pipelined burst pays one write syscall for many
-	// responses. The semaphore occupancy doubles as the in-flight signal
-	// for the adaptive linger.
-	var co *wire.Coalescer
-	if l.batch != nil {
-		co = wire.NewCoalescer(wire.CoalescerConfig{
-			Write: func(b []byte) error {
-				wmu.Lock()
-				defer wmu.Unlock()
-				if err := conn.SetWriteDeadline(time.Now().Add(l.io)); err != nil {
-					return err
-				}
-				_, err := cw.Write(b)
-				return err
-			},
-			MaxBytes:  l.batch.maxBytes,
-			MaxLinger: l.batch.linger,
-			Inflight:  func() int { return len(sem) },
-			OnFlush:   l.batch.onFlush,
-			// A failed flush kills the socket, which breaks the read loop;
-			// Shutdown semantics are implicit (the flusher exits itself).
-			OnError: func(error) { conn.Close() },
-			Codec:   codec,
-		})
-		l.wg.Add(1)
-		go func() {
-			defer l.wg.Done()
-			co.Run()
-		}()
-		// Runs after handlers.Wait below: flush the final responses before
-		// serveConn closes the socket.
-		defer co.Close()
-	}
-
-	var handlers sync.WaitGroup
-	defer handlers.Wait()
-	var scratch []byte
-	for {
-		if err := conn.SetReadDeadline(time.Now().Add(l.idle + l.io)); err != nil {
-			return
-		}
-		var kind wire.FrameKind
-		var id uint64
-		var req wire.Message
-		var err error
-		kind, id, req, scratch, err = wire.ReadMuxFrameBufferCodec(cr, scratch, codec)
-		if err != nil {
-			return
-		}
-		switch kind {
-		case wire.FrameGoAway:
-			return // the client is done with this connection
-		case wire.FrameRequest:
-		default:
-			return // protocol error: clients never send responses
-		}
-		select {
-		case sem <- struct{}{}:
-		case <-l.stop:
-			return
-		}
-		handlers.Add(1)
-		l.wg.Add(1)
-		go func(id uint64, req wire.Message) {
-			defer handlers.Done()
-			defer l.wg.Done()
-			defer func() { <-sem }()
-			ctx, cancel := handlerContext(l.baseCtx, l.io, req.DL)
-			defer cancel()
-			req.DL = 0
-			resp, err := l.h(ctx, req)
-			if err != nil {
-				errMsg, encErr := errorMessage(err)
-				if encErr != nil {
-					return
-				}
-				resp = errMsg
-			}
-			if co != nil {
-				_ = co.WriteMuxFrame(wire.FrameResponse, id, resp)
-				return
-			}
-			wmu.Lock()
-			defer wmu.Unlock()
-			if err := conn.SetWriteDeadline(time.Now().Add(l.io)); err != nil {
-				return
-			}
-			_ = wire.WriteMuxFrameCodec(cw, wire.FrameResponse, id, resp, codec)
-		}(id, req)
-	}
 }

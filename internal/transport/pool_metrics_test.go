@@ -65,9 +65,6 @@ func TestPoolMetricsGoAwayDrain(t *testing.T) {
 	if got := reg.Gauge("hours_pool_conns_open").Value(); got != 1 {
 		t.Errorf("conns_open after restart = %d, want 1 (retired conn still counted?)", got)
 	}
-	if got := reg.Counter("hours_pool_fallback_calls_total").Value(); got != 0 {
-		t.Errorf("fallback_calls = %d, want 0 on an all-mux path", got)
-	}
 }
 
 // TestPoolMetricsBrokenConnRetire is the abrupt counterpart: the server
@@ -90,28 +87,25 @@ func TestPoolMetricsBrokenConnRetire(t *testing.T) {
 			}
 			go func(c net.Conn) {
 				defer c.Close()
-				if _, err := wire.ReadHello(c); err != nil {
+				if err := wire.ReadHello(c); err != nil {
 					return
 				}
 				if err := wire.WriteHello(c); err != nil {
 					return
 				}
-				kind, id, _, err := wire.ReadMuxFrame(c)
+				kind, id, _, _, err := wire.ReadMuxFrame(c, nil)
 				if err != nil || kind != wire.FrameRequest {
 					return
 				}
-				_ = wire.WriteMuxFrame(c, wire.FrameResponse, id, wire.Message{Type: wire.TypeProbeResult})
+				resp, _ := wire.AppendMuxFrame(nil, wire.FrameResponse, id, wire.Message{Type: wire.TypeProbeResult})
+				_, _ = c.Write(resp)
 				// No GoAway: the close is abrupt, as after a crash.
 			}(conn)
 		}
 	}()
 
 	reg := obs.NewRegistry()
-	// Codec pinned to json: the hand-rolled server above speaks HRS2 only,
-	// and this test counts retires from abrupt breaks — the extra
-	// dial-and-retire of an HRS3 downgrade is covered by the codec
-	// negotiation tests.
-	p := NewPooledTCP(PoolConfig{IOTimeout: 2 * time.Second, Codec: "json"})
+	p := NewPooledTCP(PoolConfig{IOTimeout: 2 * time.Second})
 	p.SetMetrics(reg)
 	defer p.Close()
 	addr := ln.Addr().String()

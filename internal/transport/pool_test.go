@@ -214,60 +214,6 @@ func TestPooledBrokenConnRedial(t *testing.T) {
 	}
 }
 
-// TestPooledFallbackToV1Server checks the negotiated fallback: dialing a
-// one-shot (v1) server with the pooled transport must detect the
-// rejected preface and complete the call dial-per-call, stickily.
-func TestPooledFallbackToV1Server(t *testing.T) {
-	v1 := &TCP{}
-	closer, err := v1.Listen("127.0.0.1:0", echoHandler)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closer.Close()
-	addr := closer.(*TCPListener).Addr()
-
-	reg := obs.NewRegistry()
-	p := NewPooledTCP(PoolConfig{})
-	p.SetMetrics(reg)
-	defer p.Close()
-	ctx := context.Background()
-	for i := 0; i < 3; i++ {
-		resp, err := p.Call(ctx, addr, wire.Message{Type: wire.TypeProbe})
-		if err != nil {
-			t.Fatalf("call %d via fallback: %v", i, err)
-		}
-		if resp.Type != wire.TypeProbeResult {
-			t.Errorf("resp type = %v", resp.Type)
-		}
-	}
-	if got := reg.Counter("hours_pool_fallback_calls_total").Value(); got != 3 {
-		t.Errorf("fallback calls = %d, want 3", got)
-	}
-}
-
-// TestPooledListenerServesV1Client checks the other direction of
-// mixed-version interop: an old dial-per-call client against the
-// sniffing pooled listener.
-func TestPooledListenerServesV1Client(t *testing.T) {
-	p := NewPooledTCP(PoolConfig{})
-	defer p.Close()
-	closer, err := p.Listen("127.0.0.1:0", echoHandler)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closer.Close()
-	addr := closer.(*PooledListener).Addr()
-
-	v1 := &TCP{}
-	resp, err := v1.Call(context.Background(), addr, wire.Message{Type: wire.TypeProbe})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Type != wire.TypeProbeResult {
-		t.Errorf("resp type = %v", resp.Type)
-	}
-}
-
 func TestPooledRemoteError(t *testing.T) {
 	p, addr := poolPair(t, PoolConfig{}, func(ctx context.Context, req wire.Message) (wire.Message, error) {
 		return wire.Message{}, errors.New("handler exploded")

@@ -9,94 +9,76 @@ import (
 	"repro/internal/obs/trace"
 )
 
-// StackConfig selects the layers of a canonical transport stack. One
-// options struct replaces the hand-nested decorator construction that
-// used to be duplicated across cluster and daemon wiring.
-//
-// Prefer NewStack with StackOption values; StackConfig remains as the
-// underlying representation the options mutate.
-type StackConfig struct {
-	// Base is the innermost transport (e.g. *Mem for in-process
-	// clusters). Nil builds a pooled, multiplexed TCP transport from
-	// Pool.
-	Base Transport
-	// Pool parameterizes the pooled TCP base when Base is nil.
-	Pool PoolConfig
-	// Addr is the local address the fault layer binds as its call
-	// source; required when Faults is non-nil (directed partitions need
-	// a source identity).
-	Addr string
-	// Faults, when non-nil, injects the plan's faults into every call.
-	Faults *FaultPlan
-	// Retry, when non-nil, retries idempotent calls per the policy.
-	Retry *RetryPolicy
-	// Breaker, when non-nil, adds per-peer circuit breaking: calls to a
-	// peer that keeps answering overloaded (or timing out) fail fast
-	// with ErrBreakerOpen until a cooldown passes (see Break).
-	Breaker *BreakerPolicy
-	// Metrics, when non-nil, receives every layer's series: RPC
-	// client/server instrumentation, retry counters, fault-injection
-	// counters, and the pool's connection metrics.
-	Metrics *obs.Registry
-	// Tracer, when non-nil, adds the distributed-tracing layer: outbound
-	// calls become child spans of the caller's active span and inbound
-	// requests open server spans (see Traced).
-	Tracer *trace.Tracer
-	// TraceLocal names this process in spans recorded by the tracing
-	// layer; empty defaults to Addr. Shared multi-node transports pass
-	// "-" to leave spans unnamed (each node annotates its own name).
-	TraceLocal string
+// stackConfig is what the StackOptions fill in: which layers NewStack
+// assembles and how.
+type stackConfig struct {
+	base       Transport      // innermost transport; nil builds a PooledTCP from pool
+	pool       PoolConfig     // parameterizes the pooled base when base is nil
+	addr       string         // the fault layer's call source; default span name
+	faults     *FaultPlan     // nil: no fault layer
+	retry      *RetryPolicy   // nil: no retry layer
+	breaker    *BreakerPolicy // nil: no breaker layer
+	metrics    *obs.Registry  // nil: no instrumentation
+	tracer     *trace.Tracer  // nil: no tracing layer
+	traceLocal string         // names this process in spans; see WithTracing
 }
 
 // StackOption configures one aspect of a transport stack built by
 // NewStack. Options compose in any order; absent layers are skipped.
-type StackOption func(*StackConfig)
+type StackOption func(*stackConfig)
 
 // WithBase sets the innermost transport (e.g. *Mem for in-process
 // clusters). Without it, NewStack builds a pooled TCP base.
 func WithBase(t Transport) StackOption {
-	return func(c *StackConfig) { c.Base = t }
+	return func(c *stackConfig) { c.base = t }
 }
 
 // WithPool parameterizes the pooled TCP base built when no WithBase is
-// given. Later batching options override the batch fields.
+// given. A later WithBatching overrides the batch fields.
 func WithPool(cfg PoolConfig) StackOption {
-	return func(c *StackConfig) { c.Pool = cfg }
+	return func(c *stackConfig) { c.pool = cfg }
 }
 
 // WithAddr sets the local address the fault layer binds as its call
-// source; required with WithFaults.
+// source (directed partitions need a source identity); required with
+// WithFaults.
 func WithAddr(addr string) StackOption {
-	return func(c *StackConfig) { c.Addr = addr }
+	return func(c *stackConfig) { c.addr = addr }
 }
 
 // WithFaults injects the plan's faults into every call.
 func WithFaults(p *FaultPlan) StackOption {
-	return func(c *StackConfig) { c.Faults = p }
+	return func(c *stackConfig) { c.faults = p }
 }
 
 // WithRetry retries idempotent calls per the policy.
 func WithRetry(p RetryPolicy) StackOption {
-	return func(c *StackConfig) { c.Retry = &p }
+	return func(c *stackConfig) { c.retry = &p }
 }
 
-// WithBreaker adds per-peer circuit breaking (see Break).
+// WithBreaker adds per-peer circuit breaking: calls to a peer that keeps
+// answering overloaded (or timing out) fail fast with ErrBreakerOpen
+// until a cooldown passes (see Break).
 func WithBreaker(p BreakerPolicy) StackOption {
-	return func(c *StackConfig) { c.Breaker = &p }
+	return func(c *stackConfig) { c.breaker = &p }
 }
 
-// WithMetrics registers every layer's series in reg.
+// WithMetrics registers every layer's series in reg: RPC client/server
+// instrumentation, retry counters, fault-injection counters, and the
+// pool's connection metrics.
 func WithMetrics(reg *obs.Registry) StackOption {
-	return func(c *StackConfig) { c.Metrics = reg }
+	return func(c *stackConfig) { c.metrics = reg }
 }
 
-// WithTracing adds the distributed-tracing layer. local names this
-// process in recorded spans; empty defaults to the stack's Addr, "-"
-// leaves spans unnamed (shared multi-node transports).
+// WithTracing adds the distributed-tracing layer: outbound calls become
+// child spans of the caller's active span and inbound requests open
+// server spans (see Trace). local names this process in recorded spans;
+// empty defaults to the stack's Addr, "-" leaves spans unnamed (shared
+// multi-node transports, where each node annotates its own name).
 func WithTracing(tr *trace.Tracer, local string) StackOption {
-	return func(c *StackConfig) {
-		c.Tracer = tr
-		c.TraceLocal = local
+	return func(c *stackConfig) {
+		c.tracer = tr
+		c.traceLocal = local
 	}
 }
 
@@ -105,40 +87,63 @@ func WithTracing(tr *trace.Tracer, local string) StackOption {
 // DefaultBatchLinger) and maxBytes the batch size (zero keeps 64 KiB).
 // Only meaningful without WithBase.
 func WithBatching(linger time.Duration, maxBytes int) StackOption {
-	return func(c *StackConfig) {
-		c.Pool.NoBatching = false
-		c.Pool.BatchLinger = linger
-		c.Pool.BatchMaxBytes = maxBytes
+	return func(c *stackConfig) {
+		c.pool.BatchLinger = linger
+		c.pool.BatchMaxBytes = maxBytes
 	}
 }
 
-// WithoutBatching disables write coalescing on the pooled base: every
-// frame is its own write syscall.
-func WithoutBatching() StackOption {
-	return func(c *StackConfig) { c.Pool.NoBatching = true }
-}
-
-// WithCodec selects the pooled base's preferred frame-body encoding:
-// "binary" (or empty, the default) negotiates the HRS3 binary codec per
-// peer with sticky per-addr JSON fallback; "json" pins HRS2/JSON on both
-// the dialing and listening side. Only meaningful without WithBase.
-func WithCodec(name string) StackOption {
-	return func(c *StackConfig) { c.Pool.Codec = name }
-}
-
-// NewStack assembles the canonical decorator chain from options:
+// NewStack assembles the canonical decorator chain
 //
 //	Retry → Breaker → Traced → Faulty → Instrument → base (pooled TCP
 //	or the transport given via WithBase)
 //
-// See Stack for why the order is fixed. Layers whose option is absent
-// are skipped, so the chain is exactly as thick as asked for.
+// outermost first. The order is deliberate: retries must traverse the
+// fault layer so chaos runs exercise them; the breaker sits inside retry
+// so every physical attempt consults it (once a peer trips, the
+// remaining retry attempts fail fast instead of stacking more timeouts
+// onto a sick peer); the tracing layer sits inside retry so each
+// physical attempt is its own span, and outside the fault layer so
+// injected faults surface inside spans; and the instrument layer sits
+// innermost so RPC metrics count physical attempts (the retry layer's
+// own series account for the logical-vs-physical difference). Layers
+// whose option is absent are skipped, so the chain is exactly as thick
+// as asked for.
 func NewStack(opts ...StackOption) (*Stacked, error) {
-	var cfg StackConfig
+	var cfg stackConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return Stack(cfg)
+	base := cfg.base
+	if base == nil {
+		p := NewPooledTCP(cfg.pool)
+		p.SetMetrics(cfg.metrics)
+		base = p
+	}
+	t := Instrument(base, cfg.metrics) // nil registry: pass-through
+	if cfg.faults != nil {
+		if cfg.addr == "" {
+			return nil, fmt.Errorf("transport: stack with faults needs WithAddr (the fault layer's call source)")
+		}
+		t = cfg.faults.Bind(cfg.addr, t)
+	}
+	if cfg.tracer != nil {
+		local := cfg.traceLocal
+		switch local {
+		case "":
+			local = cfg.addr
+		case "-":
+			local = ""
+		}
+		t = Trace(t, cfg.tracer, local)
+	}
+	if cfg.breaker != nil {
+		t = Break(t, *cfg.breaker, cfg.metrics)
+	}
+	if cfg.retry != nil {
+		t = Retry(t, *cfg.retry, cfg.metrics)
+	}
+	return &Stacked{Transport: t, base: base}, nil
 }
 
 // Stacked is an assembled transport chain. It implements Transport by
@@ -166,58 +171,6 @@ func (s *Stacked) Close() error {
 		return c.Close()
 	}
 	return nil
-}
-
-// Stack assembles the canonical decorator chain
-//
-//	Retry → Breaker → Traced → Faulty → Instrument → base (pooled TCP
-//	or the supplied Base)
-//
-// outermost first. The order is deliberate: retries must traverse the
-// fault layer so chaos runs exercise them; the breaker sits inside retry
-// so every physical attempt consults it (once a peer trips, the
-// remaining retry attempts fail fast instead of stacking more timeouts
-// onto a sick peer); the tracing layer sits inside retry so each
-// physical attempt is its own span, and outside the fault layer so
-// injected faults surface inside spans; and the instrument layer sits
-// innermost so RPC metrics count physical attempts (the retry layer's
-// own series account for the logical-vs-physical difference). Layers
-// whose config is absent are skipped, so the chain is exactly as thick
-// as asked for.
-//
-// Most callers should prefer NewStack with options; Stack remains for
-// code that already holds a StackConfig.
-func Stack(cfg StackConfig) (*Stacked, error) {
-	base := cfg.Base
-	if base == nil {
-		p := NewPooledTCP(cfg.Pool)
-		p.SetMetrics(cfg.Metrics)
-		base = p
-	}
-	t := Instrument(base, cfg.Metrics) // nil registry: pass-through
-	if cfg.Faults != nil {
-		if cfg.Addr == "" {
-			return nil, fmt.Errorf("transport: stack with faults needs Addr (the fault layer's call source)")
-		}
-		t = cfg.Faults.Bind(cfg.Addr, t)
-	}
-	if cfg.Tracer != nil {
-		local := cfg.TraceLocal
-		switch local {
-		case "":
-			local = cfg.Addr
-		case "-":
-			local = ""
-		}
-		t = Trace(t, cfg.Tracer, local)
-	}
-	if cfg.Breaker != nil {
-		t = Break(t, *cfg.Breaker, cfg.Metrics)
-	}
-	if cfg.Retry != nil {
-		t = Retry(t, *cfg.Retry, cfg.Metrics)
-	}
-	return &Stacked{Transport: t, base: base}, nil
 }
 
 // Layers returns the decorator chain of t from outermost to innermost,

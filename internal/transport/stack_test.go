@@ -11,13 +11,8 @@ import (
 
 func TestStackCanonicalOrder(t *testing.T) {
 	mem := NewMem()
-	st, err := Stack(StackConfig{
-		Base:    mem,
-		Addr:    "mem://self",
-		Faults:  NewFaultPlan(1),
-		Retry:   &RetryPolicy{MaxAttempts: 2},
-		Metrics: obs.NewRegistry(),
-	})
+	st, err := NewStack(WithBase(mem), WithAddr("mem://self"), WithFaults(NewFaultPlan(1)),
+		WithRetry(RetryPolicy{MaxAttempts: 2}), WithMetrics(obs.NewRegistry()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +56,7 @@ func typeName(t Transport) string {
 // TestStackSkipsAbsentLayers: the chain is exactly as thick as asked for.
 func TestStackSkipsAbsentLayers(t *testing.T) {
 	mem := NewMem()
-	st, err := Stack(StackConfig{Base: mem})
+	st, err := NewStack(WithBase(mem))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +71,7 @@ func TestStackSkipsAbsentLayers(t *testing.T) {
 }
 
 func TestStackDefaultBaseIsPooled(t *testing.T) {
-	st, err := Stack(StackConfig{Pool: PoolConfig{MaxConnsPerPeer: 1}})
+	st, err := NewStack(WithPool(PoolConfig{MaxConnsPerPeer: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +82,7 @@ func TestStackDefaultBaseIsPooled(t *testing.T) {
 }
 
 func TestStackFaultsRequireAddr(t *testing.T) {
-	if _, err := Stack(StackConfig{Base: NewMem(), Faults: NewFaultPlan(1)}); err == nil {
+	if _, err := NewStack(WithBase(NewMem()), WithFaults(NewFaultPlan(1))); err == nil {
 		t.Error("faults without Addr accepted")
 	}
 }
@@ -95,7 +90,7 @@ func TestStackFaultsRequireAddr(t *testing.T) {
 // TestStackCloseDrainsPooledBase: Close on the stack reaches through the
 // decorators to the pooled base.
 func TestStackCloseDrainsPooledBase(t *testing.T) {
-	st, err := Stack(StackConfig{Metrics: obs.NewRegistry()})
+	st, err := NewStack(WithMetrics(obs.NewRegistry()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,18 +115,14 @@ func TestStackEndToEnd(t *testing.T) {
 	plan := NewFaultPlan(7)
 	plan.SetAddrRule("mem://peer", Rule{DropRequest: 0.3})
 	reg := obs.NewRegistry()
-	st, err := Stack(StackConfig{
-		Base:   mem,
-		Addr:   "mem://self",
-		Faults: plan,
-		Retry: &RetryPolicy{
+	st, err := NewStack(WithBase(mem), WithAddr("mem://self"), WithFaults(plan),
+		WithRetry(RetryPolicy{
 			MaxAttempts: 5,
 			BaseBackoff: time.Millisecond,
 			MaxBackoff:  4 * time.Millisecond,
 			Seed:        7,
-		},
-		Metrics: reg,
-	})
+		}),
+		WithMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}

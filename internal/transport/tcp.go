@@ -5,16 +5,15 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 	"time"
 
 	"repro/internal/wire"
 )
 
-// TCP is a Transport over real sockets: one length-prefixed request and
-// response per connection, dialed per call. It is the v1 one-shot
-// protocol — kept as the negotiated fallback for old peers and as the
-// dial-per-call baseline; production paths use PooledTCP, which
+// TCP is a Transport over real sockets speaking one-shot framing: one
+// length-prefixed JSON request and response per connection, dialed per
+// call. It is the human-debuggable path (what `hoursq -codec v1` speaks)
+// and the dial-per-call baseline; production paths use PooledTCP, which
 // multiplexes concurrent requests over persistent pooled connections.
 type TCP struct {
 	// DialTimeout bounds connection establishment; zero means 2s.
@@ -25,138 +24,18 @@ type TCP struct {
 
 var _ Transport = (*TCP)(nil)
 
-// tcpListener serves connections until closed.
-type tcpListener struct {
-	ln      net.Listener
-	h       Handler
-	io      time.Duration
-	wg      sync.WaitGroup
-	once    sync.Once
-	stop    chan struct{}
-	baseCtx context.Context // canceled on Close so in-flight handlers stop
-	cancel  context.CancelFunc
+// config maps the two timeouts onto the socket transports' shared
+// defaults.
+func (t *TCP) config() PoolConfig {
+	return PoolConfig{DialTimeout: t.DialTimeout, IOTimeout: t.IOTimeout}.withDefaults()
 }
 
-// Listen implements Transport. addr is a host:port; ":0" picks a free
-// port — read it back with Addr on the returned closer (type *TCPListener).
+// Listen implements Transport with the shared listener (see
+// listener.go), so a node on this transport also answers mux clients.
+// addr is a host:port; ":0" picks a free port — read it back with Addr
+// on the returned closer (type *PooledListener).
 func (t *TCP) Listen(addr string, h Handler) (io.Closer, error) {
-	if h == nil {
-		return nil, fmt.Errorf("transport: listen needs a handler")
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
-	}
-	l := &tcpListener{ln: ln, h: h, io: t.ioTimeout(), stop: make(chan struct{})}
-	l.baseCtx, l.cancel = context.WithCancel(context.Background())
-	l.wg.Add(1)
-	go l.acceptLoop()
-	return &TCPListener{l: l}, nil
-}
-
-func (t *TCP) dialTimeout() time.Duration {
-	if t.DialTimeout > 0 {
-		return t.DialTimeout
-	}
-	return 2 * time.Second
-}
-
-func (t *TCP) ioTimeout() time.Duration {
-	if t.IOTimeout > 0 {
-		return t.IOTimeout
-	}
-	return 5 * time.Second
-}
-
-// TCPListener exposes the bound address of a TCP listener.
-type TCPListener struct {
-	l *tcpListener
-}
-
-// Addr returns the bound address (useful with ":0").
-func (t *TCPListener) Addr() string { return t.l.ln.Addr().String() }
-
-// Close implements io.Closer: it stops accepting, cancels the context of
-// in-flight handlers, closes the socket, and waits for the handlers to
-// drain.
-func (t *TCPListener) Close() error {
-	var err error
-	t.l.once.Do(func() {
-		close(t.l.stop)
-		t.l.cancel()
-		err = t.l.ln.Close()
-		t.l.wg.Wait()
-	})
-	return err
-}
-
-// acceptBackoff bounds the accept-error retry delay: 5ms doubling to 1s,
-// the net/http Server schedule. Without it, a persistent accept error
-// (EMFILE under fd exhaustion) turns the loop into a hot spin.
-const (
-	acceptBackoffMin = 5 * time.Millisecond
-	acceptBackoffMax = 1 * time.Second
-)
-
-func (l *tcpListener) acceptLoop() {
-	defer l.wg.Done()
-	delay := time.Duration(0)
-	for {
-		conn, err := l.ln.Accept()
-		if err != nil {
-			select {
-			case <-l.stop:
-				return
-			default:
-			}
-			// Transient accept errors (e.g. EMFILE) get a capped
-			// exponential backoff before the next attempt.
-			if delay == 0 {
-				delay = acceptBackoffMin
-			} else if delay *= 2; delay > acceptBackoffMax {
-				delay = acceptBackoffMax
-			}
-			t := time.NewTimer(delay)
-			select {
-			case <-t.C:
-			case <-l.stop:
-				t.Stop()
-				return
-			}
-			continue
-		}
-		delay = 0
-		l.wg.Add(1)
-		go l.serveConn(conn)
-	}
-}
-
-func (l *tcpListener) serveConn(conn net.Conn) {
-	defer l.wg.Done()
-	defer conn.Close()
-	if err := conn.SetDeadline(time.Now().Add(l.io)); err != nil {
-		return
-	}
-	req, err := wire.ReadFrame(conn)
-	if err != nil {
-		return
-	}
-	// The handler context descends from the listener's, so Close cancels
-	// in-flight handlers instead of letting them outlive the listener
-	// until their IO timeout. The caller's propagated deadline budget, if
-	// tighter, bounds it further.
-	ctx, cancel := handlerContext(l.baseCtx, l.io, req.DL)
-	defer cancel()
-	req.DL = 0 // consumed into the context; handlers never see wire budgets
-	resp, err := l.h(ctx, req)
-	if err != nil {
-		errMsg, encErr := errorMessage(err)
-		if encErr != nil {
-			return
-		}
-		resp = errMsg
-	}
-	_ = wire.WriteFrame(conn, resp) // peer handles missing responses
+	return listen(addr, h, t.config(), func() *sideMetrics { return nil })
 }
 
 // Call implements Transport. Context cancellation is honored at every
@@ -167,13 +46,14 @@ func (t *TCP) Call(ctx context.Context, addr string, req wire.Message) (wire.Mes
 	if err := ctx.Err(); err != nil {
 		return wire.Message{}, fmt.Errorf("call %s: %w: %v", addr, ErrUnreachable, err)
 	}
-	d := net.Dialer{Timeout: t.dialTimeout()}
+	cfg := t.config()
+	d := net.Dialer{Timeout: cfg.DialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return wire.Message{}, fmt.Errorf("call %s: %w: %v", addr, ErrUnreachable, err)
 	}
 	defer conn.Close()
-	deadline := time.Now().Add(t.ioTimeout())
+	deadline := time.Now().Add(cfg.IOTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
@@ -205,12 +85,5 @@ func (t *TCP) Call(ctx context.Context, addr string, req wire.Message) (wire.Mes
 	if err != nil {
 		return wire.Message{}, callErr(err)
 	}
-	if resp.Type == wire.TypeError {
-		var e wire.Error
-		if err := resp.Decode(&e); err != nil {
-			return wire.Message{}, fmt.Errorf("call %s: undecodable error response: %w", addr, err)
-		}
-		return wire.Message{}, remoteError(addr, e)
-	}
-	return resp, nil
+	return finishCall(addr, resp)
 }

@@ -41,7 +41,7 @@ func (f *failingListener) Addr() net.Addr {
 // schedule it gets through only a handful.
 func TestAcceptLoopBacksOffOnPersistentErrors(t *testing.T) {
 	fl := &failingListener{}
-	l := &tcpListener{ln: fl, h: echoHandler, io: time.Second, stop: make(chan struct{})}
+	l := &muxListener{ln: fl, h: echoHandler, io: time.Second, stop: make(chan struct{})}
 	l.baseCtx, l.cancel = context.WithCancel(context.Background())
 	l.wg.Add(1)
 	go l.acceptLoop()
@@ -58,7 +58,7 @@ func TestAcceptLoopBacksOffOnPersistentErrors(t *testing.T) {
 	}
 }
 
-// TestTCPCloseCancelsInflightHandlers verifies that TCPListener.Close
+// TestTCPCloseCancelsInflightHandlers verifies that the listener's Close
 // cancels the context of handlers that are still running, rather than
 // letting them block until their IO timeout.
 func TestTCPCloseCancelsInflightHandlers(t *testing.T) {
@@ -78,7 +78,7 @@ func TestTCPCloseCancelsInflightHandlers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := closer.(*TCPListener).Addr()
+	addr := closer.(*PooledListener).Addr()
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {

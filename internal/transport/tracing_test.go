@@ -247,13 +247,8 @@ func TestAttemptAndSuspicionContext(t *testing.T) {
 func TestStackWithTracerOrder(t *testing.T) {
 	tracer := trace.New(trace.Config{SampleRate: 0, Seed: 8})
 	plan := NewFaultPlan(1)
-	st, err := Stack(StackConfig{
-		Base:   NewMem(),
-		Addr:   "a",
-		Faults: plan,
-		Retry:  &RetryPolicy{},
-		Tracer: tracer,
-	})
+	st, err := NewStack(WithBase(NewMem()), WithAddr("a"), WithFaults(plan),
+		WithRetry(RetryPolicy{}), WithTracing(tracer, ""))
 	if err != nil {
 		t.Fatal(err)
 	}

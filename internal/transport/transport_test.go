@@ -152,7 +152,7 @@ func TestTCPRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer closer.Close()
-	tl, ok := closer.(*TCPListener)
+	tl, ok := closer.(*PooledListener)
 	if !ok {
 		t.Fatalf("listener type %T", closer)
 	}
@@ -194,7 +194,7 @@ func TestTCPRemoteError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer closer.Close()
-	addr := closer.(*TCPListener).Addr()
+	addr := closer.(*PooledListener).Addr()
 	_, err = tr.Call(context.Background(), addr, wire.Message{Type: wire.TypeProbe})
 	if err == nil || errors.Is(err, ErrUnreachable) {
 		t.Errorf("remote error surfaced as %v", err)
@@ -207,7 +207,7 @@ func TestTCPCloseStopsServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := closer.(*TCPListener).Addr()
+	addr := closer.(*PooledListener).Addr()
 	if err := closer.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestTCPConcurrentCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer closer.Close()
-	addr := closer.(*TCPListener).Addr()
+	addr := closer.(*PooledListener).Addr()
 	var wg sync.WaitGroup
 	errs := make(chan error, 32)
 	for w := 0; w < 16; w++ {
@@ -260,28 +260,20 @@ func BenchmarkMemCall(b *testing.B) {
 	}
 }
 
-// BenchmarkTCPCall contrasts the v1 dial-per-call client with the
-// pooled, multiplexed client — batched (default) and unbatched — at 1
-// and 64 concurrent callers. Each client variant runs against a server
-// with the matching batching config, so the pooled-vs-nobatch delta is
-// the full (client+server) effect of write coalescing, and the
-// pooled-vs-json delta is the full effect of the negotiated HRS3 binary
-// codec (pooled/* negotiate binary by default; json/* pin both ends to
-// the HRS2 JSON encoding). scripts/check.sh smoke-runs these and records
-// the numbers in BENCH_transport.json, BENCH_batch.json, and
-// BENCH_codec.json.
+// BenchmarkTCPCall contrasts the two dialers of the supported matrix —
+// one-shot dial-per-call and the pooled, multiplexed client — at 1 and
+// 64 concurrent callers against the shared listener. scripts/check.sh
+// smoke-runs it, records the numbers in BENCH_transport.json and gates
+// pooled/c64's allocations there.
 func BenchmarkTCPCall(b *testing.B) {
-	listen := func(cfg PoolConfig) string {
-		server := NewPooledTCP(cfg)
-		closer, err := server.Listen("127.0.0.1:0", echoHandler)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { closer.Close() })
-		return closer.(*PooledListener).Addr()
+	closer, err := NewPooledTCP(PoolConfig{}).Listen("127.0.0.1:0", echoHandler)
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer closer.Close()
+	addr := closer.(*PooledListener).Addr()
 
-	bench := func(tr Transport, addr string, callers int) func(*testing.B) {
+	bench := func(tr Transport, callers int) func(*testing.B) {
 		return func(b *testing.B) {
 			ctx := context.Background()
 			msg := wire.Message{Type: wire.TypeProbe}
@@ -312,24 +304,12 @@ func BenchmarkTCPCall(b *testing.B) {
 		}
 	}
 
-	batched := listen(PoolConfig{})
-	raw := listen(PoolConfig{NoBatching: true})
-	jsonSrv := listen(PoolConfig{Codec: "json"})
-
 	dial := &TCP{}
 	pooled := NewPooledTCP(PoolConfig{})
 	defer pooled.Close()
-	nobatch := NewPooledTCP(PoolConfig{NoBatching: true})
-	defer nobatch.Close()
-	jsonPool := NewPooledTCP(PoolConfig{Codec: "json"})
-	defer jsonPool.Close()
 
-	b.Run("dial/c1", bench(dial, raw, 1))
-	b.Run("dial/c64", bench(dial, raw, 64))
-	b.Run("pooled/c1", bench(pooled, batched, 1))
-	b.Run("pooled/c64", bench(pooled, batched, 64))
-	b.Run("nobatch/c1", bench(nobatch, raw, 1))
-	b.Run("nobatch/c64", bench(nobatch, raw, 64))
-	b.Run("json/c1", bench(jsonPool, jsonSrv, 1))
-	b.Run("json/c64", bench(jsonPool, jsonSrv, 64))
+	b.Run("dial/c1", bench(dial, 1))
+	b.Run("dial/c64", bench(dial, 64))
+	b.Run("pooled/c1", bench(pooled, 1))
+	b.Run("pooled/c64", bench(pooled, 64))
 }

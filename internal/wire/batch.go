@@ -64,9 +64,6 @@ type CoalescerConfig struct {
 	// waits for that goroutine) — fail the connection instead, which is
 	// what the transport's hook does.
 	OnError func(error)
-	// Codec serializes message bodies into the pending buffer — the
-	// connection's negotiated encoding. Nil means JSON.
-	Codec Codec
 }
 
 // withDefaults fills zero fields.
@@ -125,7 +122,7 @@ func (c *Coalescer) WriteMuxFrame(kind FrameKind, id uint64, m Message) error {
 		return ErrCoalescerClosed
 	}
 	var err error
-	c.pend, err = AppendMuxFrameCodec(c.pend, kind, id, m, c.cfg.Codec)
+	c.pend, err = AppendMuxFrame(c.pend, kind, id, m)
 	if err != nil {
 		c.mu.Unlock()
 		return err

@@ -51,7 +51,7 @@ func TestCoalescerRoundTrip(t *testing.T) {
 
 	var direct bytes.Buffer
 	for i, m := range msgs {
-		if err := WriteMuxFrame(&direct, FrameRequest, uint64(i+1), m); err != nil {
+		if err := writeMuxFrame(&direct, FrameRequest, uint64(i+1), m); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -79,7 +79,7 @@ func TestCoalescerRoundTrip(t *testing.T) {
 		var id uint64
 		var got Message
 		var err error
-		kind, id, got, scratch, err = ReadMuxFrameBuffer(r, scratch)
+		kind, id, got, scratch, err = ReadMuxFrame(r, scratch)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -91,7 +91,7 @@ func TestCoalescerRoundTrip(t *testing.T) {
 			t.Fatalf("frame %d decoded %+v, want %+v", i, got, want)
 		}
 	}
-	if _, _, _, err := ReadMuxFrame(r); !errors.Is(err, io.EOF) {
+	if _, _, _, err := readMuxFrame(r); !errors.Is(err, io.EOF) {
 		t.Fatalf("trailing bytes after last frame: %v", err)
 	}
 }
@@ -146,7 +146,7 @@ func TestCoalescerBatchesUnderLoad(t *testing.T) {
 	r := bytes.NewReader(w.stream())
 	seen := 0
 	for {
-		_, _, _, err := ReadMuxFrame(r)
+		_, _, _, err := readMuxFrame(r)
 		if errors.Is(err, io.EOF) {
 			break
 		}

@@ -1,6 +1,6 @@
 package wire
 
-// Message body codecs (wire version 3).
+// Message body codecs.
 //
 // JSON made the prototype's vocabulary easy to evolve, but it taxes the
 // hot path twice per message: wire.New marshals the payload into a
@@ -8,18 +8,19 @@ package wire
 // receiver reverses both. Upper-level HOURS nodes forward the aggregate
 // query load of the whole hierarchy, so that serialization tax is paid
 // per hop, per query — exactly the per-message cost an attacker
-// multiplies (cf. DESIGN.md §13).
+// multiplies (cf. DESIGN.md §8).
 //
 // A Codec turns a Message into frame-body bytes and back. Two exist:
 //
-//   - JSON: the historical encoding, kept wire-compatible for v1 peers
-//     and HRS2 mux connections. Typed messages (see Typed) encode in one
-//     pass through a pooled encoder — no intermediate RawMessage.
-//   - Binary: a hand-rolled envelope plus per-type body encodings for
-//     the hot vocabulary (query, query_result, probe, repair,
-//     notify_ccw, child_sample, error). Everything else rides inside the
-//     binary envelope as its JSON payload bytes, so no message type is
-//     unencodable. Negotiated by the HRS3 preface (see mux.go).
+//   - JSON: the human-debuggable body of one-shot frames (wire.go), and
+//     the reference the binary codec is fuzzed against. Typed messages
+//     (see Typed) encode in one pass through a pooled encoder — no
+//     intermediate RawMessage.
+//   - Binary: the body of every mux frame (mux.go). A hand-rolled
+//     envelope plus per-type body encodings for the hot vocabulary
+//     (query, query_result, probe, repair, notify_ccw, child_sample,
+//     error). Everything else rides inside the binary envelope as its
+//     JSON payload bytes, so no message type is unencodable.
 //
 // Binary envelope layout (all varints are encoding/binary varints,
 // strings are uvarint-length-prefixed UTF-8):
@@ -49,8 +50,6 @@ import (
 // pack frames into shared buffers, and DecodeMessage must copy out of
 // its input (read loops reuse the buffer for the next frame).
 type Codec interface {
-	// Name identifies the codec ("json", "binary") for metrics and flags.
-	Name() string
 	// AppendMessage appends the encoded message to dst.
 	AppendMessage(dst []byte, m Message) ([]byte, error)
 	// DecodeMessage decodes one message from body. The returned Message
@@ -58,32 +57,15 @@ type Codec interface {
 	DecodeMessage(body []byte) (Message, error)
 }
 
-// JSON is the historical JSON envelope codec, the negotiated encoding of
-// v1 and HRS2 connections.
+// JSON is the JSON envelope codec: the body of one-shot frames.
 var JSON Codec = jsonCodec{}
 
-// Binary is the hand-rolled binary codec, the negotiated encoding of
-// HRS3 connections.
+// Binary is the hand-rolled binary codec: the body of mux frames.
 var Binary Codec = binaryCodec{}
-
-// CodecByName maps a -codec flag value to its Codec ("" means binary,
-// the preferred default).
-func CodecByName(name string) (Codec, error) {
-	switch name {
-	case "", "binary":
-		return Binary, nil
-	case "json":
-		return JSON, nil
-	default:
-		return nil, fmt.Errorf("wire: unknown codec %q (want binary or json)", name)
-	}
-}
 
 // ----- JSON codec -----
 
 type jsonCodec struct{}
-
-func (jsonCodec) Name() string { return "json" }
 
 func (jsonCodec) AppendMessage(dst []byte, m Message) ([]byte, error) {
 	return appendJSONMessage(dst, m)
@@ -144,8 +126,6 @@ func appendJSONMessage(dst []byte, m Message) ([]byte, error) {
 // ----- binary codec -----
 
 type binaryCodec struct{}
-
-func (binaryCodec) Name() string { return "binary" }
 
 // Binary envelope flag bits.
 const (

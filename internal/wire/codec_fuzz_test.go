@@ -76,8 +76,8 @@ func fuzzBuildMessage(kind uint8, s1, s2, s3, from string, i1, i2, i3, dl int64,
 
 // FuzzCodecRoundTrip is the differential fuzz of the two codecs: any
 // message built from the protocol vocabulary must decode to the same
-// observable message whether it crossed the wire as JSON or binary —
-// both through the bare codec and through full mux framing, where trace
+// observable message whether it crossed the wire as JSON or binary, and
+// the binary encoding must also survive full mux framing, where trace
 // context and deadline ride binary frame prefixes instead of the
 // envelope.
 func FuzzCodecRoundTrip(f *testing.F) {
@@ -125,30 +125,28 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			t.Fatalf("codecs disagree:\nmsg:    %+v\njson:   %+v\nbinary: %+v", m, jm, bm)
 		}
 
-		// Mux framing differential: TC and DL leave the envelope and ride
-		// binary frame prefixes; both codecs must reassemble the same
-		// message, and the frame byte stream must decode at any scratch
-		// reuse state (nil scratch here — the read loops' warm path is
-		// exercised by the transport tests).
-		for _, c := range []Codec{JSON, Binary} {
-			frame, err := AppendMuxFrameCodec(nil, requestKind(!m.TC.IsZero(), m.DL > 0), 42, m, c)
-			if err != nil {
-				t.Fatalf("%s mux encode: %v", c.Name(), err)
-			}
-			kind, id, got, _, err := ReadMuxFrameBufferCodec(bytes.NewReader(frame), nil, c)
-			if err != nil {
-				t.Fatalf("%s mux decode: %v", c.Name(), err)
-			}
-			if !kind.isRequest() || id != 42 {
-				t.Fatalf("%s mux frame header changed: kind=%v id=%d", c.Name(), kind, id)
-			}
-			if got.TC != m.TC || got.DL != m.DL || got.From != m.From {
-				t.Fatalf("%s mux envelope changed: got tc=%+v dl=%d from=%q, want tc=%+v dl=%d from=%q",
-					c.Name(), got.TC, got.DL, got.From, m.TC, m.DL, m.From)
-			}
-			if !decodedEqual(t, m, got) {
-				t.Fatalf("%s mux round trip changed the message:\n in: %+v\nout: %+v", c.Name(), m, got)
-			}
+		// Mux framing: TC and DL leave the envelope and ride flagged binary
+		// frame prefixes; the frame must reassemble the same message (nil
+		// scratch here — the read loops' warm path is exercised by the
+		// transport tests).
+		frame, err := AppendMuxFrame(nil, FrameRequest, 42, m)
+		if err != nil {
+			t.Fatalf("mux encode: %v", err)
+		}
+		fk, id, got, _, err := ReadMuxFrame(bytes.NewReader(frame), nil)
+		if err != nil {
+			t.Fatalf("mux decode: %v", err)
+		}
+		if fk != FrameRequest || id != 42 {
+			t.Fatalf("mux frame header changed: kind=%v id=%d", fk, id)
+		}
+		wantDL := min(m.DL, maxDeadlineMillis)
+		if got.TC != m.TC || got.DL != wantDL || got.From != m.From {
+			t.Fatalf("mux envelope changed: got tc=%+v dl=%d from=%q, want tc=%+v dl=%d from=%q",
+				got.TC, got.DL, got.From, m.TC, wantDL, m.From)
+		}
+		if !decodedEqual(t, m, got) {
+			t.Fatalf("mux round trip changed the message:\n in: %+v\nout: %+v", m, got)
 		}
 	})
 }

@@ -75,17 +75,17 @@ func decodedEqual(t *testing.T, a, b Message) bool {
 // and that the two decode to the same observable message.
 func TestCodecRoundTrip(t *testing.T) {
 	for _, m := range codecSampleMessages() {
-		for _, c := range []Codec{JSON, Binary} {
+		for name, c := range map[string]Codec{"json": JSON, "binary": Binary} {
 			enc, err := c.AppendMessage(nil, m)
 			if err != nil {
-				t.Fatalf("%s %s: encode: %v", c.Name(), m.Type, err)
+				t.Fatalf("%s %s: encode: %v", name, m.Type, err)
 			}
 			got, err := c.DecodeMessage(enc)
 			if err != nil {
-				t.Fatalf("%s %s: decode: %v", c.Name(), m.Type, err)
+				t.Fatalf("%s %s: decode: %v", name, m.Type, err)
 			}
 			if !decodedEqual(t, m, got) {
-				t.Errorf("%s %s: round trip changed the message:\n in: %+v\nout: %+v", c.Name(), m.Type, m, got)
+				t.Errorf("%s %s: round trip changed the message:\n in: %+v\nout: %+v", name, m.Type, m, got)
 			}
 		}
 	}
@@ -268,19 +268,6 @@ func TestDecodeClonesUnownedSlices(t *testing.T) {
 	}
 }
 
-// TestCodecByName pins the flag-value mapping.
-func TestCodecByName(t *testing.T) {
-	for name, want := range map[string]Codec{"": Binary, "binary": Binary, "json": JSON} {
-		c, err := CodecByName(name)
-		if err != nil || c != want {
-			t.Errorf("CodecByName(%q) = %v, %v; want %v", name, c, err, want)
-		}
-	}
-	if _, err := CodecByName("protobuf"); err == nil {
-		t.Error("CodecByName accepted an unknown name")
-	}
-}
-
 // TestEncodeQueryZeroAllocs pins the hot-path claim: encoding a typed
 // query body into a pre-sized buffer allocates nothing.
 func TestEncodeQueryZeroAllocs(t *testing.T) {
@@ -330,12 +317,12 @@ func TestAppendMuxFrameBinaryZeroAllocs(t *testing.T) {
 	dst := make([]byte, 0, 512)
 	allocs := testing.AllocsPerRun(1000, func() {
 		var err error
-		dst, err = AppendMuxFrameCodec(dst[:0], FrameRequest, 7, m, Binary)
+		dst, err = AppendMuxFrame(dst[:0], FrameRequest, 7, m)
 		if err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("AppendMuxFrameCodec(binary query) allocates %.1f/op, want 0", allocs)
+		t.Errorf("AppendMuxFrame(query) allocates %.1f/op, want 0", allocs)
 	}
 }

@@ -93,7 +93,7 @@ func FuzzCoalescer(f *testing.F) {
 
 		var direct bytes.Buffer
 		for i, m := range msgs {
-			if err := WriteMuxFrame(&direct, FrameRequest, uint64(i), m); err != nil {
+			if err := writeMuxFrame(&direct, FrameRequest, uint64(i), m); err != nil {
 				t.Skip() // unencodable input rejected identically either way
 			}
 		}
@@ -123,7 +123,7 @@ func FuzzCoalescer(f *testing.F) {
 		for i := range msgs {
 			var m Message
 			var err error
-			_, _, m, scratch, err = ReadMuxFrameBuffer(r, scratch)
+			_, _, m, scratch, err = ReadMuxFrame(r, scratch)
 			if err != nil {
 				t.Fatalf("decode frame %d of coalesced stream: %v", i, err)
 			}

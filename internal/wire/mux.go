@@ -1,51 +1,45 @@
 package wire
 
-// Multiplexed framing (wire version 2).
+// Multiplexed framing.
 //
-// The original (version 1) framing carries one length-prefixed message per
-// direction per connection: [len:4][json]. Version 2 multiplexes many
-// concurrent exchanges over one persistent connection by tagging every
-// frame with a kind and a request ID:
+// One-shot framing (wire.go) carries one length-prefixed JSON message per
+// direction per connection. Multiplexed framing carries many concurrent
+// exchanges over one persistent connection by tagging every frame with a
+// kind and a request ID; bodies are always the binary codec (codec.go):
 //
-//	preface   [magic:4 = "HRS2"][version:1]        (client → server)
-//	ack       [magic:4 = "HRS2"][version:1]        (server → client)
-//	frame     [kind:1][id:8][len:4][json body]     (both directions)
+//	preface   [magic:4 = "HRS3"][version:1]              (client → server)
+//	ack       [magic:4 = "HRS3"][version:1]              (server → client)
+//	frame     [flags:4|kind:4][id:8][len:4][len bytes]   (both directions)
 //
-// Version negotiation exploits the v1 length prefix: the magic, read as a
-// big-endian uint32 length, exceeds maxFrame, so a v1 server rejects the
-// preface instantly and closes the connection — the client falls back to
-// one-shot framing. Conversely a v2 server sniffs the first four bytes of
-// every accepted connection: the magic selects the mux protocol, anything
-// else is a v1 length prefix and the connection is served one-shot. Old
-// and new peers therefore interoperate without configuration.
+// A request frame's flags say which fixed-width binary prefixes precede
+// its body, in this order: flagTraced a 17-byte trace context,
+// flagDeadline a 4-byte big-endian millisecond budget. Both are stripped
+// from the message before the codec runs, so the hot-path cost of tracing
+// and deadlines is fixed bytes, not extra envelope fields.
+//
+// The listener tells the two framings apart by the first four bytes of a
+// connection: the magic, read as a big-endian length, exceeds maxFrame,
+// so it can never be a one-shot length prefix. Both sides check the
+// version byte; a mismatch fails the handshake — there is no downgrade.
 
 import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sync"
 )
 
-// MuxMagic opens every multiplexed connection ("HRS2" big-endian). Its
-// numeric value (0x48525332) is far above maxFrame, so a v1 peer reading
-// it as a frame length fails immediately instead of waiting for a body.
-const MuxMagic uint32 = 0x48525332
+// MuxMagic opens every multiplexed connection ("HRS3" big-endian). Its
+// numeric value is far above maxFrame, so a one-shot decoder reading it
+// as a frame length fails immediately instead of waiting for a body.
+const MuxMagic uint32 = 0x48525333
 
 // MuxVersion is the multiplexed protocol version spoken by this build.
-const MuxVersion byte = 2
+// It changes whenever the frame layout does, so a stale build fails the
+// handshake instead of mis-parsing frames.
+const MuxVersion byte = 4
 
-// MuxMagicBinary opens a multiplexed connection whose frame bodies use
-// the binary codec ("HRS3" big-endian). Like MuxMagic it exceeds
-// maxFrame, so a v1 peer rejects it instantly; an HRS2-only peer fails
-// its magic check and closes, which the dialer treats as "no binary
-// here" and redials with the HRS2 preface (sticky per addr — see the
-// transport's downgrade ladder).
-const MuxMagicBinary uint32 = 0x48525333
-
-// MuxVersionBinary is the protocol version carried by the HRS3 preface.
-const MuxVersionBinary byte = 3
-
-// FrameKind tags one multiplexed frame.
+// FrameKind tags one multiplexed frame (the low nibble of its first
+// byte).
 type FrameKind byte
 
 const (
@@ -58,50 +52,21 @@ const (
 	// connection: stop issuing new requests on it. It carries no body and
 	// ID 0.
 	FrameGoAway FrameKind = 3
-	// FrameRequestTraced is a request carrying a distributed-tracing
-	// context: its body is [trace context:17][json] instead of bare JSON.
-	// WriteMuxFrame upgrades FrameRequest to this kind automatically when
-	// the message holds a context, and ReadMuxFrame normalizes it back to
-	// FrameRequest with Message.TC restored, so transports never see it.
-	FrameRequestTraced FrameKind = 4
-	// FrameRequestDeadline is a request carrying a propagated deadline
-	// budget: its body is [deadline millis:4][json]. Like the trace
-	// context, WriteMuxFrame upgrades FrameRequest automatically when the
-	// message carries a deadline and ReadMuxFrame normalizes it back with
-	// Message.DL restored.
-	FrameRequestDeadline FrameKind = 5
-	// FrameRequestTracedDeadline carries both binary prefixes:
-	// [trace context:17][deadline millis:4][json].
-	FrameRequestTracedDeadline FrameKind = 6
+)
+
+// Request-frame flags (the high nibble of the first byte). AppendMuxFrame
+// sets them from the message and ReadMuxFrame folds them back into
+// Message.TC / Message.DL, so transports never see them.
+const (
+	flagTraced   byte = 1 << 4 // body starts with a TraceContextLen-byte trace context
+	flagDeadline byte = 1 << 5 // then a deadlineLen-byte millisecond budget
+
+	kindMask   byte = 0x0f
+	knownFlags      = flagTraced | flagDeadline
 )
 
 // valid reports whether the kind is one this build understands.
-func (k FrameKind) valid() bool {
-	return k == FrameRequest || k == FrameResponse || k == FrameGoAway ||
-		k == FrameRequestTraced || k == FrameRequestDeadline ||
-		k == FrameRequestTracedDeadline
-}
-
-// isRequest reports whether the kind is any request variant.
-func (k FrameKind) isRequest() bool {
-	return k == FrameRequest || k == FrameRequestTraced ||
-		k == FrameRequestDeadline || k == FrameRequestTracedDeadline
-}
-
-// requestKind picks the request frame kind for the binary prefixes the
-// message needs.
-func requestKind(traced, deadline bool) FrameKind {
-	switch {
-	case traced && deadline:
-		return FrameRequestTracedDeadline
-	case traced:
-		return FrameRequestTraced
-	case deadline:
-		return FrameRequestDeadline
-	default:
-		return FrameRequest
-	}
-}
+func (k FrameKind) valid() bool { return k >= FrameRequest && k <= FrameGoAway }
 
 // String renders the kind for errors and logs.
 func (k FrameKind) String() string {
@@ -112,12 +77,6 @@ func (k FrameKind) String() string {
 		return "response"
 	case FrameGoAway:
 		return "goaway"
-	case FrameRequestTraced:
-		return "request_traced"
-	case FrameRequestDeadline:
-		return "request_deadline"
-	case FrameRequestTracedDeadline:
-		return "request_traced_deadline"
 	default:
 		return fmt.Sprintf("kind(%d)", byte(k))
 	}
@@ -126,76 +85,51 @@ func (k FrameKind) String() string {
 // helloLen is the size of the preface/ack: magic plus version.
 const helloLen = 5
 
-// WriteHello writes the HRS2 mux preface (client side) or ack (server
-// side).
+// WriteHello writes the mux preface (client side) or ack (server side).
 func WriteHello(w io.Writer) error {
-	return WriteHelloMagic(w, MuxMagic, MuxVersion)
-}
-
-// WriteHelloMagic writes a preface/ack with an explicit magic — the
-// dialer picks MuxMagicBinary to offer the binary codec, MuxMagic for
-// JSON; the listener acks whichever it accepted.
-func WriteHelloMagic(w io.Writer, magic uint32, version byte) error {
 	var buf [helloLen]byte
-	binary.BigEndian.PutUint32(buf[:4], magic)
-	buf[4] = version
+	binary.BigEndian.PutUint32(buf[:4], MuxMagic)
+	buf[4] = MuxVersion
 	if _, err := w.Write(buf[:]); err != nil {
 		return fmt.Errorf("wire: write mux hello: %w", err)
 	}
 	return nil
 }
 
-// ReadHello reads and validates an HRS2 mux preface/ack, returning the
-// peer's version.
-func ReadHello(r io.Reader) (byte, error) {
-	_, v, err := readHello(r, false)
-	return v, err
-}
-
-// ReadHelloMagic reads a preface/ack accepting either mux magic and
-// returns which one the peer sent along with its version — the dialer
-// uses it to learn which codec the listener acked.
-func ReadHelloMagic(r io.Reader) (uint32, byte, error) {
-	return readHello(r, true)
-}
-
-func readHello(r io.Reader, allowBinary bool) (uint32, byte, error) {
-	var buf [helloLen]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, 0, fmt.Errorf("wire: read mux hello: %w", err)
+// ReadHello reads a mux preface/ack and checks its magic and version.
+func ReadHello(r io.Reader) error {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return fmt.Errorf("wire: read mux hello: %w", err)
 	}
-	magic := binary.BigEndian.Uint32(buf[:4])
-	if magic != MuxMagic && !(allowBinary && magic == MuxMagicBinary) {
-		return 0, 0, fmt.Errorf("wire: bad mux magic %#x", magic)
+	if !IsMuxPreface(hdr) {
+		return fmt.Errorf("wire: bad mux magic %#x", binary.BigEndian.Uint32(hdr[:]))
 	}
-	return magic, buf[4], nil
+	return FinishHello(r)
 }
 
-// FinishHello completes a hello whose first four bytes were already
-// consumed by connection sniffing (see IsMuxPreface): it reads the
-// version byte.
-func FinishHello(r io.Reader) (byte, error) {
-	var v [1]byte
-	if _, err := io.ReadFull(r, v[:]); err != nil {
-		return 0, fmt.Errorf("wire: read mux hello version: %w", err)
-	}
-	return v[0], nil
-}
-
-// IsMuxPreface reports whether a sniffed 4-byte header opens an HRS2
-// (JSON-codec) multiplexed connection (as opposed to being a v1 length
-// prefix).
+// IsMuxPreface reports whether a sniffed 4-byte header opens a
+// multiplexed connection (as opposed to being a one-shot length prefix).
 func IsMuxPreface(hdr [4]byte) bool {
 	return binary.BigEndian.Uint32(hdr[:]) == MuxMagic
 }
 
-// IsBinaryMuxPreface reports whether a sniffed 4-byte header opens an
-// HRS3 (binary-codec) multiplexed connection.
-func IsBinaryMuxPreface(hdr [4]byte) bool {
-	return binary.BigEndian.Uint32(hdr[:]) == MuxMagicBinary
+// FinishHello completes a hello whose first four bytes were already
+// consumed by connection sniffing (see IsMuxPreface): it reads the
+// version byte and rejects any version but this build's.
+func FinishHello(r io.Reader) error {
+	var v [1]byte
+	if _, err := io.ReadFull(r, v[:]); err != nil {
+		return fmt.Errorf("wire: read mux hello version: %w", err)
+	}
+	if v[0] != MuxVersion {
+		return fmt.Errorf("wire: unsupported mux version %d", v[0])
+	}
+	return nil
 }
 
-// muxHeaderLen is the per-frame header: kind, request ID, body length.
+// muxHeaderLen is the per-frame header: flags|kind, request ID, body
+// length.
 const muxHeaderLen = 1 + 8 + 4
 
 // deadlineLen is the binary deadline prefix: remaining millis, uint32.
@@ -205,52 +139,42 @@ const deadlineLen = 4
 // budgets are clamped rather than wrapped.
 const maxDeadlineMillis = int64(^uint32(0))
 
+// pooledBufMax caps the capacity of buffers kept for reuse (the
+// coalescer's batch buffers, the JSON encoder pool); a rare giant frame
+// must not pin its memory forever.
+const pooledBufMax = 64 << 10
+
 // AppendMuxFrame appends one encoded multiplexed frame to dst and
 // returns the extended slice. GoAway frames carry no body; every other
-// kind carries the JSON-encoded message. A request whose message holds a
-// trace context and/or a deadline budget is written as the matching
-// prefixed kind (FrameRequestTraced, FrameRequestDeadline,
-// FrameRequestTracedDeadline): the context rides as a 17-byte binary
-// prefix and the deadline as a 4-byte millisecond count ahead of the
-// JSON body (which is encoded without its "tc"/"dl" fields), keeping the
-// hot-path cost fixed instead of extra JSON per hop.
+// kind carries the binary-encoded message, serialized directly into dst
+// after the (header, prefix) placeholder so the hot path never
+// materializes an intermediate body slice. A request whose message holds
+// a trace context and/or a deadline budget gets the matching flags and
+// binary prefixes (see the package comment above), and its body is
+// encoded without them.
 //
 // Because it appends, callers can pack several frames into one buffer
 // and hand them to the kernel in a single write — the primitive under
 // the Coalescer's batched flushes.
 func AppendMuxFrame(dst []byte, kind FrameKind, id uint64, m Message) ([]byte, error) {
-	return AppendMuxFrameCodec(dst, kind, id, m, JSON)
-}
-
-// AppendMuxFrameCodec is AppendMuxFrame with an explicit body codec —
-// the connection's negotiated encoding. The message body is serialized
-// by the codec directly into dst after the (header, prefix) placeholder,
-// so the binary hot path never materializes an intermediate body slice.
-// A nil codec means JSON.
-func AppendMuxFrameCodec(dst []byte, kind FrameKind, id uint64, m Message, c Codec) ([]byte, error) {
 	if !kind.valid() {
 		return dst, fmt.Errorf("wire: write frame of unknown kind %d", byte(kind))
 	}
-	if c == nil {
-		c = JSON
-	}
 	var tc TraceContext
 	var dl int64
-	if kind.isRequest() {
+	var flags byte
+	prefix := 0
+	if kind == FrameRequest {
 		if !m.TC.IsZero() {
 			tc, m.TC = m.TC, TraceContext{}
+			flags |= flagTraced
+			prefix += TraceContextLen
 		}
 		if m.DL > 0 {
 			dl, m.DL = min(m.DL, maxDeadlineMillis), 0
+			flags |= flagDeadline
+			prefix += deadlineLen
 		}
-		kind = requestKind(!tc.IsZero(), dl > 0)
-	}
-	prefix := 0
-	if !tc.IsZero() {
-		prefix += TraceContextLen
-	}
-	if dl > 0 {
-		prefix += deadlineLen
 	}
 	start := len(dst)
 	// Reserve the (header, prefix) placeholder from a stack array rather
@@ -262,7 +186,7 @@ func AppendMuxFrameCodec(dst []byte, kind FrameKind, id uint64, m Message, c Cod
 	bodyStart := len(dst)
 	if kind != FrameGoAway {
 		var err error
-		dst, err = c.AppendMessage(dst, m)
+		dst, err = Binary.AppendMessage(dst, m)
 		if err != nil {
 			return dst[:start], err
 		}
@@ -272,97 +196,56 @@ func AppendMuxFrameCodec(dst []byte, kind FrameKind, id uint64, m Message, c Cod
 		return dst[:start], fmt.Errorf("wire: frame of %d bytes exceeds limit %d", bodyLen, maxFrame)
 	}
 	hdr := dst[start:bodyStart]
-	hdr[0] = byte(kind)
+	hdr[0] = byte(kind) | flags
 	binary.BigEndian.PutUint64(hdr[1:9], id)
 	binary.BigEndian.PutUint32(hdr[9:13], uint32(prefix+bodyLen))
 	off := muxHeaderLen
-	if !tc.IsZero() {
+	if flags&flagTraced != 0 {
 		tc.AppendBinary(hdr[off : off : off+TraceContextLen])
 		off += TraceContextLen
 	}
-	if dl > 0 {
+	if flags&flagDeadline != 0 {
 		binary.BigEndian.PutUint32(hdr[off:off+deadlineLen], uint32(dl))
 	}
 	return dst, nil
 }
 
-// frameBufPool recycles the scratch buffers WriteMuxFrame assembles
-// frames in, so the steady-state frame write allocates only its JSON
-// body. Oversized buffers are dropped instead of pooled.
-var frameBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
-
-// pooledBufMax caps the capacity of buffers returned to frameBufPool; a
-// rare giant frame must not pin its memory forever.
-const pooledBufMax = 64 << 10
-
-// WriteMuxFrame writes one multiplexed frame, assembled in a pooled
-// buffer (see AppendMuxFrame for the encoding).
-func WriteMuxFrame(w io.Writer, kind FrameKind, id uint64, m Message) error {
-	return WriteMuxFrameCodec(w, kind, id, m, JSON)
-}
-
-// WriteMuxFrameCodec is WriteMuxFrame with an explicit body codec.
-func WriteMuxFrameCodec(w io.Writer, kind FrameKind, id uint64, m Message, c Codec) error {
-	bp := frameBufPool.Get().(*[]byte)
-	buf, err := AppendMuxFrameCodec((*bp)[:0], kind, id, m, c)
-	if err == nil {
-		// One Write keeps the frame contiguous under concurrent writers
-		// that serialize on a mutex but must not interleave partial frames.
-		if _, werr := w.Write(buf); werr != nil {
-			err = fmt.Errorf("wire: write mux frame: %w", werr)
-		}
-	}
-	if cap(buf) <= pooledBufMax {
-		*bp = buf[:0]
-		frameBufPool.Put(bp)
-	}
-	return err
-}
-
 // ReadMuxFrame reads one multiplexed frame: its kind, request ID, and
-// message (zero Message for bodyless kinds). Prefixed request kinds are
-// normalized: the binary trace-context and deadline prefixes are decoded
-// into Message.TC / Message.DL and the kind is reported as FrameRequest,
-// so serving loops handle every request variant identically.
-func ReadMuxFrame(r io.Reader) (FrameKind, uint64, Message, error) {
-	kind, id, m, _, err := ReadMuxFrameBuffer(r, nil)
-	return kind, id, m, err
-}
-
-// ReadMuxFrameBuffer is ReadMuxFrame with a caller-owned scratch buffer:
-// the frame body is read into scratch (grown as needed) and the possibly
-// larger buffer is returned for the next call, so a long-lived read loop
-// amortizes its body allocations to zero. The decoded Message owns its
-// memory — JSON decoding and the binary-prefix parsers copy out of the
-// scratch — so reusing the buffer immediately is safe.
-func ReadMuxFrameBuffer(r io.Reader, scratch []byte) (FrameKind, uint64, Message, []byte, error) {
-	return ReadMuxFrameBufferCodec(r, scratch, JSON)
-}
-
-// ReadMuxFrameBufferCodec is ReadMuxFrameBuffer with an explicit body
-// codec — the connection's negotiated encoding. A nil codec means JSON.
-func ReadMuxFrameBufferCodec(r io.Reader, scratch []byte, c Codec) (FrameKind, uint64, Message, []byte, error) {
-	if c == nil {
-		c = JSON
-	}
+// message (zero Message for bodyless frames). A request's flagged
+// prefixes are decoded into Message.TC / Message.DL, so serving loops
+// handle every request identically. Unknown kinds, unknown flag bits and
+// flags on a non-request frame are rejected from the header alone,
+// before anything is allocated for the body.
+//
+// The frame body is read into the caller-owned scratch (grown as needed)
+// and the possibly larger buffer is returned for the next call, so a
+// long-lived read loop amortizes its body allocations to zero. The
+// decoded Message owns its memory — the codec and the prefix parsers
+// copy out of the scratch — so reusing the buffer immediately is safe.
+func ReadMuxFrame(r io.Reader, scratch []byte) (FrameKind, uint64, Message, []byte, error) {
 	var hdr [muxHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, 0, Message{}, scratch, fmt.Errorf("wire: read mux header: %w", err)
 	}
-	kind := FrameKind(hdr[0])
+	kind, flags := FrameKind(hdr[0]&kindMask), hdr[0]&^kindMask
 	if !kind.valid() {
 		return 0, 0, Message{}, scratch, fmt.Errorf("wire: unknown frame kind %d", hdr[0])
+	}
+	if flags&^knownFlags != 0 {
+		return 0, 0, Message{}, scratch, fmt.Errorf("wire: unknown frame flags %#x", flags)
+	}
+	if flags != 0 && kind != FrameRequest {
+		return 0, 0, Message{}, scratch, fmt.Errorf("wire: %s frame carries request flags %#x", kind, flags)
 	}
 	id := binary.BigEndian.Uint64(hdr[1:9])
 	n := binary.BigEndian.Uint32(hdr[9:13])
 	if n > maxFrame {
 		return 0, 0, Message{}, scratch, fmt.Errorf("wire: mux frame of %d bytes exceeds limit %d", n, maxFrame)
 	}
-	if n == 0 {
-		if kind.isRequest() && kind != FrameRequest {
-			// Prefixed request kinds promise at least their binary prefix.
-			return 0, 0, Message{}, scratch, fmt.Errorf("wire: bodyless %s frame lacks its binary prefix", kind)
-		}
+	if kind == FrameGoAway && n != 0 {
+		return 0, 0, Message{}, scratch, fmt.Errorf("wire: goaway frame with a %d-byte body", n)
+	}
+	if n == 0 && flags == 0 {
 		return kind, id, Message{}, scratch, nil
 	}
 	if uint32(cap(scratch)) < n {
@@ -375,7 +258,7 @@ func ReadMuxFrameBufferCodec(r io.Reader, scratch []byte, c Codec) (FrameKind, u
 	}
 	var tc TraceContext
 	var dl int64
-	if kind == FrameRequestTraced || kind == FrameRequestTracedDeadline {
+	if flags&flagTraced != 0 {
 		var err error
 		tc, err = ParseTraceContext(body)
 		if err != nil {
@@ -383,17 +266,14 @@ func ReadMuxFrameBufferCodec(r io.Reader, scratch []byte, c Codec) (FrameKind, u
 		}
 		body = body[TraceContextLen:]
 	}
-	if kind == FrameRequestDeadline || kind == FrameRequestTracedDeadline {
+	if flags&flagDeadline != 0 {
 		if len(body) < deadlineLen {
-			return 0, 0, Message{}, scratch, fmt.Errorf("wire: %s frame of %d bytes lacks deadline prefix", kind, len(body))
+			return 0, 0, Message{}, scratch, fmt.Errorf("wire: request frame of %d bytes lacks its deadline prefix", len(body))
 		}
 		dl = int64(binary.BigEndian.Uint32(body[:deadlineLen]))
 		body = body[deadlineLen:]
 	}
-	if kind.isRequest() {
-		kind = FrameRequest
-	}
-	m, err := c.DecodeMessage(body)
+	m, err := Binary.DecodeMessage(body)
 	if err != nil {
 		return 0, 0, Message{}, scratch, err
 	}

@@ -3,10 +3,28 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
 )
+
+// writeMuxFrame writes one frame with its own Write call — the
+// unbatched reference the coalescer tests compare their stream against.
+func writeMuxFrame(w io.Writer, kind FrameKind, id uint64, m Message) error {
+	buf, err := AppendMuxFrame(nil, kind, id, m)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(buf)
+	return err
+}
+
+// readMuxFrame is ReadMuxFrame without a scratch buffer.
+func readMuxFrame(r io.Reader) (FrameKind, uint64, Message, error) {
+	kind, id, m, _, err := ReadMuxFrame(r, nil)
+	return kind, id, m, err
+}
 
 func TestMuxHelloRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
@@ -16,36 +34,55 @@ func TestMuxHelloRoundTrip(t *testing.T) {
 	if got := buf.Len(); got != helloLen {
 		t.Fatalf("hello length = %d, want %d", got, helloLen)
 	}
-	v, err := ReadHello(bytes.NewReader(buf.Bytes()))
-	if err != nil {
+	if err := ReadHello(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
-	}
-	if v != MuxVersion {
-		t.Errorf("version = %d, want %d", v, MuxVersion)
 	}
 }
 
 func TestMuxHelloBadMagic(t *testing.T) {
-	if _, err := ReadHello(bytes.NewReader([]byte{0, 0, 0, 9, 2})); err == nil {
+	if err := ReadHello(bytes.NewReader([]byte{0, 0, 0, 9, MuxVersion})); err == nil {
 		t.Error("bad magic accepted")
 	}
-	if _, err := ReadHello(bytes.NewReader([]byte{0x48, 0x52})); err == nil {
+	if err := ReadHello(bytes.NewReader([]byte{0x48, 0x52})); err == nil {
 		t.Error("truncated hello accepted")
 	}
 }
 
+// TestMuxHelloVersionChecked pins the handshake's version check on both
+// entry points: the dialer's ReadHello and the listener's FinishHello
+// (which runs after the magic was sniffed) reject every version but this
+// build's, naming the offending one.
+func TestMuxHelloVersionChecked(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteHello(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []byte{0, MuxVersion - 1, MuxVersion + 1} {
+		raw := append([]byte(nil), buf.Bytes()...)
+		raw[4] = v
+		want := fmt.Sprintf("unsupported mux version %d", v)
+		if err := ReadHello(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ReadHello(version %d) = %v, want %q", v, err, want)
+		}
+		if err := FinishHello(bytes.NewReader(raw[4:])); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("FinishHello(version %d) = %v, want %q", v, err, want)
+		}
+	}
+}
+
 func TestMuxMagicExceedsFrameLimit(t *testing.T) {
-	// The negotiation trick depends on it: a v1 server reading the magic
-	// as a length prefix must reject it instantly.
+	// Sniffing depends on it: the magic can never be a one-shot length
+	// prefix, and a one-shot decoder handed the preface rejects it
+	// instantly instead of waiting for a body.
 	if MuxMagic <= maxFrame {
-		t.Fatalf("MuxMagic %#x must exceed maxFrame %#x for v1 fallback", MuxMagic, maxFrame)
+		t.Fatalf("MuxMagic %#x must exceed maxFrame %#x", MuxMagic, maxFrame)
 	}
 	var buf bytes.Buffer
 	if err := WriteHello(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadFrame(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Error("v1 decoder accepted the mux preface")
+		t.Error("one-shot decoder accepted the mux preface")
 	}
 }
 
@@ -55,9 +92,9 @@ func TestIsMuxPreface(t *testing.T) {
 	if !IsMuxPreface(hdr) {
 		t.Error("magic not recognized")
 	}
-	binary.BigEndian.PutUint32(hdr[:], 42) // a plausible v1 length
+	binary.BigEndian.PutUint32(hdr[:], 42) // a plausible one-shot length
 	if IsMuxPreface(hdr) {
-		t.Error("v1 length prefix misread as mux preface")
+		t.Error("one-shot length prefix misread as mux preface")
 	}
 }
 
@@ -72,12 +109,8 @@ func TestFinishHello(t *testing.T) {
 	if !IsMuxPreface(hdr) {
 		t.Fatal("preface not recognized")
 	}
-	v, err := FinishHello(bytes.NewReader(raw[4:]))
-	if err != nil {
+	if err := FinishHello(bytes.NewReader(raw[4:])); err != nil {
 		t.Fatal(err)
-	}
-	if v != MuxVersion {
-		t.Errorf("version = %d, want %d", v, MuxVersion)
 	}
 }
 
@@ -88,10 +121,10 @@ func TestMuxFrameRoundTrip(t *testing.T) {
 	}
 	for _, kind := range []FrameKind{FrameRequest, FrameResponse} {
 		var buf bytes.Buffer
-		if err := WriteMuxFrame(&buf, kind, 77, msg); err != nil {
+		if err := writeMuxFrame(&buf, kind, 77, msg); err != nil {
 			t.Fatal(err)
 		}
-		k, id, m, err := ReadMuxFrame(bytes.NewReader(buf.Bytes()))
+		k, id, m, err := readMuxFrame(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,82 +137,73 @@ func TestMuxFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMuxFrameDeadlinePrefix pins the wire format of the deadline-
-// carrying request kinds: a message with a budget is written as
-// FrameRequestDeadline (or FrameRequestTracedDeadline when it also
-// carries a trace context), the budget rides as a 4-byte binary prefix
-// rather than JSON, and the reader normalizes the kind back to
-// FrameRequest with Message.DL restored.
-func TestMuxFrameDeadlinePrefix(t *testing.T) {
-	t.Run("deadline only", func(t *testing.T) {
-		msg := Message{Type: TypeQuery, DL: 1234}
-		var buf bytes.Buffer
-		if err := WriteMuxFrame(&buf, FrameRequest, 42, msg); err != nil {
-			t.Fatal(err)
-		}
-		raw := buf.Bytes()
-		if FrameKind(raw[0]) != FrameRequestDeadline {
-			t.Fatalf("wire kind = %v, want %v", FrameKind(raw[0]), FrameRequestDeadline)
-		}
-		if got := binary.BigEndian.Uint32(raw[muxHeaderLen : muxHeaderLen+deadlineLen]); got != 1234 {
-			t.Errorf("binary deadline prefix = %d, want 1234", got)
-		}
-		if bytes.Contains(raw[muxHeaderLen+deadlineLen:], []byte(`"dl"`)) {
-			t.Error("deadline leaked into the JSON body alongside the binary prefix")
-		}
-		k, id, m, err := ReadMuxFrame(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if k != FrameRequest || id != 42 {
-			t.Errorf("kind/id = %v/%d, want request/42", k, id)
-		}
-		if m.DL != 1234 {
-			t.Errorf("restored DL = %d, want 1234", m.DL)
-		}
-	})
-
-	t.Run("traced and deadline", func(t *testing.T) {
-		msg := Message{
-			Type: TypeQuery,
-			TC:   TraceContext{TraceID: 7, SpanID: 9, Flags: FlagSampled},
-			DL:   555,
-		}
-		var buf bytes.Buffer
-		if err := WriteMuxFrame(&buf, FrameRequest, 8, msg); err != nil {
-			t.Fatal(err)
-		}
-		raw := buf.Bytes()
-		if FrameKind(raw[0]) != FrameRequestTracedDeadline {
-			t.Fatalf("wire kind = %v, want %v", FrameKind(raw[0]), FrameRequestTracedDeadline)
-		}
-		// Prefix order is trace context first, then deadline.
-		off := muxHeaderLen + TraceContextLen
-		if got := binary.BigEndian.Uint32(raw[off : off+deadlineLen]); got != 555 {
-			t.Errorf("binary deadline prefix = %d, want 555", got)
-		}
-		k, _, m, err := ReadMuxFrame(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if k != FrameRequest {
-			t.Errorf("kind = %v, want normalized request", k)
-		}
-		if m.TC != msg.TC {
-			t.Errorf("restored TC = %+v, want %+v", m.TC, msg.TC)
-		}
-		if m.DL != 555 {
-			t.Errorf("restored DL = %d, want 555", m.DL)
-		}
-	})
+// TestMuxFrameFlags pins the wire format of a request's optional
+// prefixes: the kind nibble stays FrameRequest, a message with a trace
+// context and/or a budget sets the matching flag bits, each rides as a
+// fixed-width binary prefix (trace context first) rather than in the
+// body, and the reader folds them back into Message.TC / Message.DL.
+func TestMuxFrameFlags(t *testing.T) {
+	tc := TraceContext{TraceID: 7, SpanID: 9, Flags: FlagSampled}
+	for _, c := range []struct {
+		name  string
+		msg   Message
+		flags byte
+	}{
+		{"plain", Message{Type: TypeQuery}, 0},
+		{"traced", Message{Type: TypeQuery, TC: tc}, flagTraced},
+		{"deadline", Message{Type: TypeQuery, DL: 1234}, flagDeadline},
+		{"traced and deadline", Message{Type: TypeQuery, TC: tc, DL: 555}, flagTraced | flagDeadline},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			raw, err := AppendMuxFrame(nil, FrameRequest, 42, c.msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if raw[0] != byte(FrameRequest)|c.flags {
+				t.Fatalf("kind byte = %#x, want %#x", raw[0], byte(FrameRequest)|c.flags)
+			}
+			off := muxHeaderLen
+			if c.flags&flagTraced != 0 {
+				got, err := ParseTraceContext(raw[off:])
+				if err != nil || got != tc {
+					t.Errorf("binary trace prefix = %+v, %v; want %+v", got, err, tc)
+				}
+				off += TraceContextLen
+			}
+			if c.flags&flagDeadline != 0 {
+				if got := binary.BigEndian.Uint32(raw[off : off+deadlineLen]); int64(got) != c.msg.DL {
+					t.Errorf("binary deadline prefix = %d, want %d", got, c.msg.DL)
+				}
+				off += deadlineLen
+			}
+			// The body is the bare message: no envelope copy of TC or DL.
+			bare, err := Binary.AppendMessage(nil, Message{Type: TypeQuery})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(raw[off:], bare) {
+				t.Errorf("body = %x, want the bare message %x", raw[off:], bare)
+			}
+			k, id, m, err := readMuxFrame(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if k != FrameRequest || id != 42 {
+				t.Errorf("kind/id = %v/%d, want request/42", k, id)
+			}
+			if m.TC != c.msg.TC || m.DL != c.msg.DL {
+				t.Errorf("restored TC/DL = %+v/%d, want %+v/%d", m.TC, m.DL, c.msg.TC, c.msg.DL)
+			}
+		})
+	}
 
 	t.Run("huge budget clamps", func(t *testing.T) {
 		msg := Message{Type: TypeQuery, DL: maxDeadlineMillis + 99}
 		var buf bytes.Buffer
-		if err := WriteMuxFrame(&buf, FrameRequest, 1, msg); err != nil {
+		if err := writeMuxFrame(&buf, FrameRequest, 1, msg); err != nil {
 			t.Fatal(err)
 		}
-		_, _, m, err := ReadMuxFrame(bytes.NewReader(buf.Bytes()))
+		_, _, m, err := readMuxFrame(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,55 +212,79 @@ func TestMuxFrameDeadlinePrefix(t *testing.T) {
 		}
 	})
 
-	t.Run("responses keep deadline in json", func(t *testing.T) {
-		// Only request kinds use the binary prefix; a response carrying DL
-		// (unusual but legal) stays plain.
-		msg := Message{Type: TypeQueryResult, DL: 777}
-		var buf bytes.Buffer
-		if err := WriteMuxFrame(&buf, FrameResponse, 3, msg); err != nil {
-			t.Fatal(err)
-		}
-		if FrameKind(buf.Bytes()[0]) != FrameResponse {
-			t.Fatalf("wire kind = %v, want response", FrameKind(buf.Bytes()[0]))
-		}
-		k, _, m, err := ReadMuxFrame(bytes.NewReader(buf.Bytes()))
+	t.Run("responses keep both in the envelope", func(t *testing.T) {
+		// Only requests use the prefixes; a response carrying TC or DL
+		// (unusual but legal) stays unflagged.
+		msg := Message{Type: TypeQueryResult, TC: tc, DL: 777}
+		raw, err := AppendMuxFrame(nil, FrameResponse, 3, msg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if k != FrameResponse || m.DL != 777 {
-			t.Errorf("response round trip kind=%v DL=%d, want response/777", k, m.DL)
+		if raw[0] != byte(FrameResponse) {
+			t.Fatalf("kind byte = %#x, want an unflagged response", raw[0])
+		}
+		k, _, m, err := readMuxFrame(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k != FrameResponse || m.DL != 777 || m.TC != tc {
+			t.Errorf("response round trip kind=%v DL=%d TC=%+v, want response/777/%+v", k, m.DL, m.TC, tc)
 		}
 	})
 }
 
-// TestMuxFrameDeadlineTruncatedPrefix rejects deadline-kind frames whose
-// body is too short to hold the binary prefix.
-func TestMuxFrameDeadlineTruncatedPrefix(t *testing.T) {
-	build := func(kind FrameKind, body []byte) []byte {
-		raw := make([]byte, muxHeaderLen+len(body))
-		raw[0] = byte(kind)
-		binary.BigEndian.PutUint64(raw[1:9], 5)
-		binary.BigEndian.PutUint32(raw[9:13], uint32(len(body)))
-		copy(raw[muxHeaderLen:], body)
-		return raw
+// rawMuxFrame assembles a frame from an explicit kind byte and body,
+// bypassing the encoder's checks.
+func rawMuxFrame(kindByte byte, body []byte) []byte {
+	raw := make([]byte, muxHeaderLen+len(body))
+	raw[0] = kindByte
+	binary.BigEndian.PutUint64(raw[1:9], 5)
+	binary.BigEndian.PutUint32(raw[9:13], uint32(len(body)))
+	copy(raw[muxHeaderLen:], body)
+	return raw
+}
+
+// malformedFlagFrames are the header/prefix violations the reader must
+// reject: unknown flag bits, flags on a non-request kind, and flagged
+// requests whose body is too short for the promised prefix.
+func malformedFlagFrames() map[string][]byte {
+	probe, _ := Binary.AppendMessage(nil, Message{Type: TypeProbe})
+	tc := TraceContext{TraceID: 1, SpanID: 2}.AppendBinary(nil)
+	return map[string][]byte{
+		"unknown flag 0x40":          rawMuxFrame(byte(FrameRequest)|0x40, probe),
+		"unknown flag 0x80":          rawMuxFrame(byte(FrameRequest)|0x80|flagTraced, append(tc, probe...)),
+		"traced response":            rawMuxFrame(byte(FrameResponse)|flagTraced, append(tc, probe...)),
+		"deadline goaway":            rawMuxFrame(byte(FrameGoAway)|flagDeadline, []byte{0, 0, 0, 9}),
+		"traced, 16-byte body":       rawMuxFrame(byte(FrameRequest)|flagTraced, tc[:TraceContextLen-1]),
+		"traced, empty body":         rawMuxFrame(byte(FrameRequest)|flagTraced, nil),
+		"deadline, 3-byte body":      rawMuxFrame(byte(FrameRequest)|flagDeadline, []byte{1, 2, 3}),
+		"deadline, empty body":       rawMuxFrame(byte(FrameRequest)|flagDeadline, nil),
+		"traced+deadline, no budget": rawMuxFrame(byte(FrameRequest)|flagTraced|flagDeadline, tc),
 	}
-	t.Run("deadline kind short body", func(t *testing.T) {
-		raw := build(FrameRequestDeadline, []byte{0x01, 0x02}) // < deadlineLen
-		_, _, _, err := ReadMuxFrame(bytes.NewReader(raw))
-		if err == nil || !strings.Contains(err.Error(), "deadline prefix") {
-			t.Errorf("truncated deadline prefix err = %v", err)
+}
+
+// TestMuxFrameMalformedFlags rejects every malformedFlagFrames case, and
+// the header-only violations before the body is even read.
+func TestMuxFrameMalformedFlags(t *testing.T) {
+	for name, raw := range malformedFlagFrames() {
+		if _, _, _, err := readMuxFrame(bytes.NewReader(raw)); err == nil {
+			t.Errorf("%s: accepted", name)
 		}
-	})
-	t.Run("traced deadline kind missing deadline", func(t *testing.T) {
-		// A full trace context but nothing after it: the deadline prefix
-		// is still mandatory for this kind.
-		tc := TraceContext{TraceID: 1, SpanID: 2}
-		body := tc.AppendBinary(nil)
-		raw := build(FrameRequestTracedDeadline, body)
-		if _, _, _, err := ReadMuxFrame(bytes.NewReader(raw)); err == nil {
-			t.Error("traced-deadline frame without deadline prefix accepted")
+	}
+	// Unknown flags and flags on a non-request kind are header errors: a
+	// reader that saw only the 13 header bytes must already say so
+	// (anything else would be an EOF from the body read).
+	for _, kindByte := range []byte{byte(FrameRequest) | 0x40, byte(FrameResponse) | flagTraced, byte(FrameGoAway) | flagDeadline} {
+		hdr := rawMuxFrame(kindByte, make([]byte, 64))[:muxHeaderLen]
+		_, _, _, err := readMuxFrame(bytes.NewReader(hdr))
+		if err == nil || !strings.Contains(err.Error(), "flags") {
+			t.Errorf("kind byte %#x: err = %v, want a flags error from the header alone", kindByte, err)
 		}
-	})
+	}
+	raw := rawMuxFrame(byte(FrameRequest)|flagDeadline, []byte{1, 2})
+	if _, _, _, err := readMuxFrame(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "deadline prefix") {
+		t.Errorf("truncated deadline prefix err = %v", err)
+	}
 }
 
 func TestMuxGoAwayBodyless(t *testing.T) {
@@ -246,13 +294,13 @@ func TestMuxGoAwayBodyless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteMuxFrame(&buf, FrameGoAway, 0, msg); err != nil {
+	if err := writeMuxFrame(&buf, FrameGoAway, 0, msg); err != nil {
 		t.Fatal(err)
 	}
 	if got := buf.Len(); got != muxHeaderLen {
 		t.Fatalf("goaway frame length = %d, want header-only %d", got, muxHeaderLen)
 	}
-	k, id, m, err := ReadMuxFrame(bytes.NewReader(buf.Bytes()))
+	k, id, m, err := readMuxFrame(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,58 +312,56 @@ func TestMuxGoAwayBodyless(t *testing.T) {
 func TestMuxFrameMalformed(t *testing.T) {
 	valid := func() []byte {
 		var buf bytes.Buffer
-		if err := WriteMuxFrame(&buf, FrameRequest, 1, Message{Type: TypeProbe}); err != nil {
+		if err := writeMuxFrame(&buf, FrameRequest, 1, Message{Type: TypeProbe}); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
 	}
 
 	t.Run("unknown kind", func(t *testing.T) {
-		raw := valid()
-		raw[0] = 0xEE
-		if _, _, _, err := ReadMuxFrame(bytes.NewReader(raw)); err == nil {
-			t.Error("unknown kind accepted")
+		for _, k := range []byte{0, 4, 0x0e} {
+			raw := valid()
+			raw[0] = k
+			if _, _, _, err := readMuxFrame(bytes.NewReader(raw)); err == nil {
+				t.Errorf("unknown kind %d accepted", k)
+			}
 		}
 	})
 	t.Run("write unknown kind", func(t *testing.T) {
 		var buf bytes.Buffer
-		if err := WriteMuxFrame(&buf, FrameKind(9), 1, Message{Type: TypeProbe}); err == nil {
+		if err := writeMuxFrame(&buf, FrameKind(9), 1, Message{Type: TypeProbe}); err == nil {
 			t.Error("unknown kind written")
 		}
 	})
 	t.Run("oversized length", func(t *testing.T) {
 		raw := valid()
 		binary.BigEndian.PutUint32(raw[9:13], maxFrame+1)
-		_, _, _, err := ReadMuxFrame(bytes.NewReader(raw))
+		_, _, _, err := readMuxFrame(bytes.NewReader(raw))
 		if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 			t.Errorf("oversized frame err = %v", err)
 		}
 	})
 	t.Run("truncated header", func(t *testing.T) {
 		raw := valid()
-		if _, _, _, err := ReadMuxFrame(bytes.NewReader(raw[:muxHeaderLen-2])); err == nil {
+		if _, _, _, err := readMuxFrame(bytes.NewReader(raw[:muxHeaderLen-2])); err == nil {
 			t.Error("truncated header accepted")
 		}
 	})
 	t.Run("truncated body", func(t *testing.T) {
 		raw := valid()
-		if _, _, _, err := ReadMuxFrame(bytes.NewReader(raw[:len(raw)-1])); err == nil {
+		if _, _, _, err := readMuxFrame(bytes.NewReader(raw[:len(raw)-1])); err == nil {
 			t.Error("truncated body accepted")
 		}
 	})
-	t.Run("bad json body", func(t *testing.T) {
-		body := []byte("not json")
-		raw := make([]byte, muxHeaderLen+len(body))
-		raw[0] = byte(FrameRequest)
-		binary.BigEndian.PutUint64(raw[1:9], 3)
-		binary.BigEndian.PutUint32(raw[9:13], uint32(len(body)))
-		copy(raw[muxHeaderLen:], body)
-		if _, _, _, err := ReadMuxFrame(bytes.NewReader(raw)); err == nil {
+	t.Run("undecodable body", func(t *testing.T) {
+		// A JSON envelope is not a mux body: mux bodies are always binary.
+		raw := rawMuxFrame(byte(FrameRequest), []byte(`{"type":"probe"}`))
+		if _, _, _, err := readMuxFrame(bytes.NewReader(raw)); err == nil {
 			t.Error("undecodable body accepted")
 		}
 	})
 	t.Run("empty stream", func(t *testing.T) {
-		if _, _, _, err := ReadMuxFrame(bytes.NewReader(nil)); err == nil {
+		if _, _, _, err := readMuxFrame(bytes.NewReader(nil)); err == nil {
 			t.Error("empty stream accepted")
 		}
 	})
@@ -326,13 +372,13 @@ func TestMuxFrameMalformed(t *testing.T) {
 func TestMuxFrameStream(t *testing.T) {
 	var buf bytes.Buffer
 	for id := uint64(1); id <= 5; id++ {
-		if err := WriteMuxFrame(&buf, FrameRequest, id, Message{Type: TypeProbe}); err != nil {
+		if err := writeMuxFrame(&buf, FrameRequest, id, Message{Type: TypeProbe}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	r := bytes.NewReader(buf.Bytes())
 	for id := uint64(1); id <= 5; id++ {
-		k, gotID, _, err := ReadMuxFrame(r)
+		k, gotID, _, err := readMuxFrame(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -340,7 +386,7 @@ func TestMuxFrameStream(t *testing.T) {
 			t.Fatalf("frame %d decoded as kind=%v id=%d", id, k, gotID)
 		}
 	}
-	if _, _, _, err := ReadMuxFrame(r); err == nil || !bytes.Contains([]byte(err.Error()), []byte(io.EOF.Error())) {
+	if _, _, _, err := readMuxFrame(r); err == nil || !bytes.Contains([]byte(err.Error()), []byte(io.EOF.Error())) {
 		t.Errorf("post-stream read err = %v, want EOF-ish", err)
 	}
 }
@@ -351,7 +397,7 @@ func TestMuxFrameStream(t *testing.T) {
 func FuzzReadMuxFrame(f *testing.F) {
 	seed := func(kind FrameKind, id uint64, m Message) {
 		var buf bytes.Buffer
-		if err := WriteMuxFrame(&buf, kind, id, m); err != nil {
+		if err := writeMuxFrame(&buf, kind, id, m); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
@@ -360,39 +406,36 @@ func FuzzReadMuxFrame(f *testing.F) {
 	seed(FrameResponse, 1<<40, Message{Type: TypeQuery,
 		Payload: []byte(`{"target":"a.b","mode":"forward","ttl":9}`)})
 	seed(FrameGoAway, 0, Message{})
-	// Prefixed request variants: deadline only (kind 5), trace context
-	// plus deadline (kind 6), and the envelope's From identity.
+	// Flagged requests: deadline only, trace context plus deadline, and
+	// the envelope's From identity.
 	seed(FrameRequest, 2, Message{Type: TypeQuery, From: "client-7", DL: 1234,
 		Payload: []byte(`{"target":"a.b","mode":"forward","ttl":9}`)})
 	seed(FrameRequest, 3, Message{Type: TypeQuery,
 		TC: TraceContext{TraceID: 7, SpanID: 9, Flags: FlagSampled}, DL: 88})
+	seed(FrameRequest, 4, Typed(TypeQuery, &Query{Target: "n2-1.n1-0", Mode: ModeHierarchical, TTL: 12}))
 
-	// Malformed seeds: unknown kind, oversized length, truncations.
-	bad := make([]byte, muxHeaderLen)
-	bad[0] = 0xEE
-	f.Add(bad)
-	over := make([]byte, muxHeaderLen)
-	over[0] = byte(FrameRequest)
+	// Malformed seeds: unknown kind, oversized length, truncations, and
+	// every flag violation.
+	f.Add(rawMuxFrame(0x0e, nil))
+	over := rawMuxFrame(byte(FrameRequest), nil)
 	binary.BigEndian.PutUint32(over[9:13], maxFrame+1)
 	f.Add(over)
 	f.Add([]byte{byte(FrameRequest), 0, 0})
 	f.Add([]byte{})
-	// A deadline-kind frame whose body is shorter than the prefix.
-	short := make([]byte, muxHeaderLen+2)
-	short[0] = byte(FrameRequestDeadline)
-	binary.BigEndian.PutUint32(short[9:13], 2)
-	f.Add(short)
+	for _, raw := range malformedFlagFrames() {
+		f.Add(raw)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		kind, id, m, err := ReadMuxFrame(bytes.NewReader(data))
+		kind, id, m, err := readMuxFrame(bytes.NewReader(data))
 		if err != nil {
 			return // rejecting is fine; panicking is not
 		}
 		var buf bytes.Buffer
-		if err := WriteMuxFrame(&buf, kind, id, m); err != nil {
+		if err := writeMuxFrame(&buf, kind, id, m); err != nil {
 			t.Fatalf("accepted frame failed to re-encode: %v", err)
 		}
-		k2, id2, m2, err := ReadMuxFrame(&buf)
+		k2, id2, m2, err := readMuxFrame(&buf)
 		if err != nil {
 			t.Fatalf("re-encoded frame failed to decode: %v", err)
 		}

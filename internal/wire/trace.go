@@ -5,12 +5,10 @@ package wire
 // their ring-buffer stores, and the collection RPC that lets a client
 // (hoursq -trace) reassemble the cross-node span tree.
 //
-// Propagation is dual-format. Over the v1 one-shot framing the context
-// travels as an ordinary JSON envelope field on Message ("tc"), which
-// peers that predate tracing simply ignore. Over the v2 mux framing the
-// context is stripped from the JSON body and carried as a compact binary
-// header of a dedicated frame kind (see FrameRequestTraced in mux.go), so
-// the hot path pays 17 fixed bytes instead of ~60 bytes of JSON.
+// Propagation is dual-format. Over one-shot framing the context travels
+// as an ordinary JSON envelope field on Message ("tc"). Over mux framing
+// it is stripped from the body and carried as a fixed 17-byte binary
+// prefix announced by a flag in the frame header (see mux.go).
 
 import (
 	"encoding/binary"

@@ -86,74 +86,39 @@ func TestV1FrameCarriesTraceContext(t *testing.T) {
 	}
 }
 
-// Mux framing upgrades a traced request to FrameRequestTraced on the
-// wire and normalizes it back on read; the JSON body must not carry the
-// context redundantly.
+// Mux framing carries a request's context as the flagged binary prefix
+// and restores it on read; the body must not carry it redundantly (the
+// byte layout is pinned by TestMuxFrameFlags).
 func TestMuxTracedFrameRoundTrip(t *testing.T) {
 	tc := TraceContext{TraceID: 0xaaaa, SpanID: 0xbbbb, Flags: FlagSampled}
 	m := Message{Type: TypeQuery, Payload: json.RawMessage(`{"target":"x"}`), TC: tc}
 
 	var buf bytes.Buffer
-	if err := WriteMuxFrame(&buf, FrameRequest, 42, m); err != nil {
+	if err := writeMuxFrame(&buf, FrameRequest, 42, m); err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
-	if FrameKind(raw[0]) != FrameRequestTraced {
-		t.Fatalf("wire kind = %v, want %v", FrameKind(raw[0]), FrameRequestTraced)
-	}
-	if bytes.Contains(raw, []byte(`"tc"`)) {
-		t.Fatalf("traced mux frame still carries JSON tc field: %q", raw)
-	}
-
-	kind, id, got, err := ReadMuxFrame(&buf)
+	untraced := m
+	untraced.TC = TraceContext{}
+	plain, err := AppendMuxFrame(nil, FrameRequest, 42, untraced)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kind != FrameRequest {
-		t.Fatalf("normalized kind = %v, want %v", kind, FrameRequest)
+	if got, want := buf.Len(), len(plain)+TraceContextLen; got != want {
+		t.Fatalf("traced frame is %d bytes, want the untraced frame plus the %d-byte prefix = %d", got, TraceContextLen, want)
 	}
-	if id != 42 {
-		t.Fatalf("id = %d, want 42", id)
+
+	kind, id, got, err := readMuxFrame(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kind != FrameRequest || id != 42 {
+		t.Fatalf("kind/id = %v/%d, want request/42", kind, id)
 	}
 	if got.TC != tc {
 		t.Fatalf("TC = %+v, want %+v", got.TC, tc)
 	}
 	if got.Type != m.Type || string(got.Payload) != string(m.Payload) {
 		t.Fatalf("message = %+v, want %+v", got, m)
-	}
-}
-
-// An untraced request must stay a plain FrameRequest — byte-compatible
-// with peers that predate FrameRequestTraced.
-func TestMuxUntracedFrameUnchanged(t *testing.T) {
-	m := Message{Type: TypeProbe}
-	var buf bytes.Buffer
-	if err := WriteMuxFrame(&buf, FrameRequest, 7, m); err != nil {
-		t.Fatal(err)
-	}
-	if FrameKind(buf.Bytes()[0]) != FrameRequest {
-		t.Fatalf("wire kind = %v, want %v", FrameKind(buf.Bytes()[0]), FrameRequest)
-	}
-	kind, _, got, err := ReadMuxFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kind != FrameRequest || !got.TC.IsZero() {
-		t.Fatalf("kind=%v TC=%+v, want plain untraced request", kind, got.TC)
-	}
-}
-
-// Responses never carry a context even if a handler forgets to clear it.
-func TestMuxResponseDropsNoContext(t *testing.T) {
-	m := Message{Type: TypeQueryResult, TC: TraceContext{TraceID: 3, SpanID: 4}}
-	var buf bytes.Buffer
-	if err := WriteMuxFrame(&buf, FrameResponse, 9, m); err != nil {
-		t.Fatal(err)
-	}
-	// Response kind is not upgraded; the context rides (harmlessly) in the
-	// JSON envelope, which the caller ignores for responses.
-	if FrameKind(buf.Bytes()[0]) != FrameResponse {
-		t.Fatalf("wire kind = %v, want %v", FrameKind(buf.Bytes()[0]), FrameResponse)
 	}
 }
 

@@ -71,10 +71,10 @@ const (
 )
 
 // Message is one framed protocol message. TC, when non-zero, is the
-// distributed-tracing context the request travels under: over v1 framing
-// it is an ordinary envelope field old peers ignore; over v2 mux framing
-// it is stripped here and carried as a binary frame header instead (see
-// WriteMuxFrame). Responses never carry a context.
+// distributed-tracing context the request travels under: over one-shot
+// framing it is an ordinary envelope field; over mux framing it is
+// stripped and carried as a binary frame prefix instead (see
+// AppendMuxFrame). Responses never carry a context.
 //
 // From identifies the caller for per-client admission control (§2/§3.1):
 // clients stamp a stable identity of their choosing, forwarding nodes
@@ -84,9 +84,9 @@ const (
 // DL is the remaining end-to-end deadline budget in milliseconds at the
 // moment the request was written — wire-level deadline propagation, so a
 // downstream hop can shed work whose deadline already expired instead of
-// computing a dead answer. Over v1 framing it is an envelope field old
-// peers ignore; over v2 mux framing it is stripped and carried as a
-// binary frame prefix (see WriteMuxFrame). Responses never carry one.
+// computing a dead answer. Over one-shot framing it is an envelope
+// field; over mux framing it is stripped and carried as a binary frame
+// prefix (see AppendMuxFrame). Responses never carry one.
 type Message struct {
 	Type    Type            `json:"type"`
 	Payload json.RawMessage `json:"payload,omitempty"`
@@ -96,8 +96,8 @@ type Message struct {
 
 	// body, when non-nil, is the typed payload of a message built by
 	// Typed (or decoded by the binary codec): encoding is deferred to
-	// write time, where the connection's negotiated codec serializes it
-	// directly into the frame buffer — no intermediate RawMessage.
+	// write time, where the framing's codec serializes it directly into
+	// the frame buffer — no intermediate RawMessage.
 	body any
 	// owned marks a body decoded from the wire: nothing else references
 	// it, so Decode may assign it shallowly. Sender-built bodies are not
@@ -108,8 +108,8 @@ type Message struct {
 
 // New encodes payload into a Message of the given type, eagerly
 // marshaling it to JSON. Production paths prefer Typed, which defers
-// encoding to the connection's negotiated codec; New remains for callers
-// (and tests) that want the JSON bytes in hand.
+// encoding to the framing's codec; New remains for callers (and tests)
+// that want the JSON bytes in hand.
 func New(t Type, payload any) (Message, error) {
 	if payload == nil {
 		return Message{Type: t}, nil
@@ -123,8 +123,8 @@ func New(t Type, payload any) (Message, error) {
 
 // Typed wraps a typed payload into a Message without encoding it: the
 // codec of whatever connection the message is written to serializes the
-// body straight into the frame buffer (binary for the hot types on HRS3
-// connections, single-pass JSON otherwise). body should be a pointer to
+// body straight into the frame buffer (binary on mux connections,
+// single-pass JSON on one-shot ones). body should be a pointer to
 // one of this package's payload structs; nil means a bodyless message.
 // Encoding errors, impossible for the package's own payload types,
 // surface at write time.
@@ -352,7 +352,7 @@ func decodeFrame(body []byte) (Message, error) {
 	return m, nil
 }
 
-// WriteFrame writes one length-prefixed message (framing version 1: a
+// WriteFrame writes one length-prefixed message (one-shot framing: a
 // single request or response per connection direction).
 func WriteFrame(w io.Writer, m Message) error {
 	body, err := encodeFrame(m)
@@ -379,10 +379,10 @@ func ReadFrame(r io.Reader) (Message, error) {
 	return ReadFrameWithHeader(r, hdr)
 }
 
-// ReadFrameWithHeader completes a v1 frame read whose 4-byte length
-// prefix has already been consumed — version-sniffing servers read the
-// prefix to distinguish mux connections (see IsMuxPreface) and finish the
-// one-shot path here.
+// ReadFrameWithHeader completes a one-shot frame read whose 4-byte
+// length prefix has already been consumed — the sniffing listener reads
+// the prefix to distinguish mux connections (see IsMuxPreface) and
+// finishes the one-shot path here.
 func ReadFrameWithHeader(r io.Reader, hdr [4]byte) (Message, error) {
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n > maxFrame {

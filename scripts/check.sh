@@ -29,99 +29,50 @@ go test -race ./...
 echo "==> chaos soak (-race, fixed seed)"
 go test -race -short -run 'TestChaosSoak' -v ./internal/cluster/ | grep -E 'chaos soak|ok|FAIL'
 
-# Transport benchmark smoke: pooled (batched), unbatched, and
-# dial-per-call at 1 and 64 concurrent callers. The numbers land in
-# BENCH_transport.json so a regression (pooled dropping under ~3x
-# dial-per-call at c64) is visible in review diffs.
-echo "==> transport bench smoke (pooled vs nobatch vs dial-per-call)"
+# The benchmark module (bench/, its own go.mod) imports this module's
+# internals; nothing above compiles it, so an API deletion could break it
+# silently.
+echo "==> bench module (vet + short tests)"
+(cd bench && go vet ./... && go test -short ./...)
+
+# Transport benchmark smoke: the two dialers of the supported wire matrix
+# (DESIGN.md §8) — pooled binary mux and one-shot dial-per-call — at 1
+# and 64 concurrent callers. The numbers land in BENCH_transport.json so
+# a regression (pooled dropping under ~3x dial-per-call at c64) is
+# visible in review diffs; the hard gate holds the pooled hot path at
+# <= 14 allocs/op and <= 1229 B/op on pooled/c64 (wall-clock is too
+# noisy on shared runners to fail the build).
+echo "==> transport bench smoke (pooled vs dial-per-call)"
 bench_out=$(go test -run '^$' -bench 'BenchmarkTCPCall' -benchmem -benchtime 0.2s ./internal/transport/)
 echo "$bench_out" | grep 'BenchmarkTCPCall'
 echo "$bench_out" | awk '
-    BEGIN { print "{" }
+    BEGIN { print "{" > "BENCH_transport.json" }
     /^BenchmarkTCPCall\// {
         split($1, parts, "/")
         name = parts[2] "/" parts[3]
         sub(/-[0-9]+$/, "", name)
-        if (n++) printf ",\n"
-        printf "  \"%s\": {\"iters\": %s, \"ns_per_op\": %s}", name, $2, $3
-    }
-    END { print "\n}" }
-' > BENCH_transport.json
-echo "    wrote BENCH_transport.json"
-
-# Frame-batching acceptance (DESIGN.md §12): the write coalescer must
-# hold >= 1.3x throughput (or >= 30% fewer allocs) on pooled/c64 against
-# the frozen pre-batching baseline. The batched-vs-unbatched numbers
-# land in BENCH_batch.json next to that baseline so the win (and any
-# regression) is visible in review diffs.
-echo "$bench_out" | awk '
-    BEGIN {
-        print "{"
-        print "  \"baseline_pre_pr\": {"
-        print "    \"_comment\": \"pooled/c64 before write coalescing (frozen from BENCH_transport.json at 0704c63; allocs remeasured locally with -benchmem)\","
-        print "    \"pooled/c64\": {\"ns_per_op\": 14831, \"bytes_per_op\": 1976, \"allocs_per_op\": 34}"
-        print "  },"
-        printf "  \"current\": {"
-    }
-    /^BenchmarkTCPCall\/(pooled|nobatch)\// {
-        split($1, parts, "/")
-        name = parts[2] "/" parts[3]
-        sub(/-[0-9]+$/, "", name)
-        if (n++) printf ","
-        printf "\n    \"%s\": {\"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", name, $3, $5, $7
-    }
-    END { print "\n  }\n}" }
-' > BENCH_batch.json
-echo "    wrote BENCH_batch.json"
-
-# Wire-codec acceptance (DESIGN.md §13): pooled/* negotiates the HRS3
-# binary codec end to end while json/* pins both ends to the HRS2 JSON
-# encoding, so the pooled-vs-json delta is the codec's full effect. This
-# comparison gets its own longer run — at 0.2s the two sides land within
-# scheduler noise of each other. The numbers land in BENCH_codec.json
-# next to the frozen pre-codec baseline; the hard gate holds the binary
-# hot path at <= 22 allocs/op and <= 1229 bytes/op on pooled/c64 (ns/op
-# is checked against json but only warns — wall-clock is too noisy on
-# shared runners to fail the build).
-echo "==> codec bench smoke (HRS3 binary vs HRS2 json, pooled)"
-codec_out=$(go test -run '^$' -bench 'BenchmarkTCPCall/(pooled|json)/' -benchmem -benchtime 1s ./internal/transport/)
-echo "$codec_out" | grep 'BenchmarkTCPCall'
-echo "$codec_out" | awk '
-    BEGIN {
-        print "{" > "BENCH_codec.json"
-        print "  \"baseline_pre_pr\": {" > "BENCH_codec.json"
-        print "    \"_comment\": \"pooled/c64 before the HRS3 binary codec (frozen from BenchmarkTCPCall at b843976 with -benchmem)\"," > "BENCH_codec.json"
-        print "    \"pooled/c64\": {\"ns_per_op\": 10289, \"bytes_per_op\": 1900, \"allocs_per_op\": 30}" > "BENCH_codec.json"
-        print "  }," > "BENCH_codec.json"
-        printf "  \"current\": {" > "BENCH_codec.json"
-    }
-    /^BenchmarkTCPCall\/(pooled|json)\// {
-        split($1, parts, "/")
-        name = parts[2] "/" parts[3]
-        sub(/-[0-9]+$/, "", name)
-        if (n++) printf "," > "BENCH_codec.json"
-        printf "\n    \"%s\": {\"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", name, $3, $5, $7 > "BENCH_codec.json"
-        ns[name] = $3; bytes[name] = $5; allocs[name] = $7
+        if (n++) printf ",\n" > "BENCH_transport.json"
+        printf "  \"%s\": {\"iters\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", name, $2, $3, $5, $7 > "BENCH_transport.json"
+        bytes[name] = $5; allocs[name] = $7
     }
     END {
-        print "\n  }\n}" > "BENCH_codec.json"
-        if (allocs["pooled/c64"] > 22 || bytes["pooled/c64"] > 1229) {
-            printf "FAIL: binary pooled/c64 at %s allocs/op, %s B/op (gate: <= 22 allocs, <= 1229 B)\n", allocs["pooled/c64"], bytes["pooled/c64"] > "/dev/stderr"
+        print "\n}" > "BENCH_transport.json"
+        if (allocs["pooled/c64"] + 0 == 0 || allocs["pooled/c64"] > 14 || bytes["pooled/c64"] > 1229) {
+            printf "FAIL: pooled/c64 at %s allocs/op, %s B/op (gate: <= 14 allocs, <= 1229 B)\n", allocs["pooled/c64"], bytes["pooled/c64"] > "/dev/stderr"
             exit 1
         }
-        if (ns["pooled/c64"] + 0 > ns["json/c64"] + 0)
-            printf "WARN: binary pooled/c64 (%s ns/op) slower than json/c64 (%s ns/op) this run\n", ns["pooled/c64"], ns["json/c64"] > "/dev/stderr"
     }
 '
-echo "    wrote BENCH_codec.json"
+echo "    wrote BENCH_transport.json"
 
-# Codec correctness gates, kept visible: the mixed-codec interop e2e
-# (v1 one-shot + HRS2/json + HRS3/binary peers in one hierarchy, same
-# answers, sim-equivalent routes, one connected trace tree) under the
-# race detector, plus the zero-alloc pins and the exhaustiveness guard
-# that forces a hot-or-fallback decision for every declared wire.Type.
-echo "==> mixed-codec interop e2e (-race, v1 + HRS2/json + HRS3/binary)"
-go test -race -run 'TestMixedCodecHierarchyE2E' -v ./internal/node/ | grep -E 'MixedCodecHierarchy|^ok|FAIL'
+# Wire-matrix correctness gates, kept visible: the e2e hierarchy mixing
+# one-shot-dialing and pooled nodes (same answers from both dialers,
+# sim-equivalent routes, one connected trace tree, deadline shed at hop
+# 2) under the race detector, plus the zero-alloc pins and the
+# exhaustiveness guard that forces a hot-or-fallback decision for every
+# declared wire.Type.
+echo "==> wire-matrix e2e (-race, one-shot node among pooled nodes)"
+go test -race -run 'TestOneShotNodeAmongPooledE2E' -v ./internal/node/ | grep -E 'OneShotNodeAmongPooled|^ok|FAIL'
 
 echo "==> codec zero-alloc pins + exhaustiveness guard"
 go test -run 'ZeroAllocs|BinaryCodecExhaustive' -v ./internal/wire/ | grep -E 'ZeroAllocs|Exhaustive|^ok|FAIL'
@@ -166,7 +117,7 @@ printf '%s\n%s\n%s\n' "$sim_core" "$sim_overlay" "$sim_fig9" | awk '
 ' > BENCH_sim.json
 echo "    wrote BENCH_sim.json"
 
-# Routing-kernel acceptance (DESIGN.md §14): the sim and the live node
+# Routing-kernel acceptance (DESIGN.md §13): the sim and the live node
 # share one Algorithm 2/3 decision engine, so the kernel gets its own
 # gates. The differential property test replays seeded random overlays
 # and fault patterns through the kernel-backed Route and the pre-kernel
@@ -237,11 +188,11 @@ echo "$ovl_bench" | grep '^Benchmark'
 ' > BENCH_overload.json
 echo "    wrote BENCH_overload.json"
 
-# Distributed-tracing acceptance: the mixed-version e2e (v1 root + pooled
-# children, injected fault, span-tree/sim-route equivalence) runs in the
-# suite above too; this explicit -race pass keeps the tracing gate visible.
-echo "==> trace propagation e2e (-race, mixed v1/mux wire)"
-go test -race -run 'TestTracedQueryMixedVersion' -v ./internal/node/ | grep -E 'TracedQueryMixedVersion|ok|FAIL'
+# Distributed-tracing acceptance: the traced-query e2e (pooled hierarchy,
+# injected fault, span-tree/sim-route equivalence) runs in the suite
+# above too; this explicit -race pass keeps the tracing gate visible.
+echo "==> trace propagation e2e (-race)"
+go test -race -run 'TestTracedQueryE2E' -v ./internal/node/ | grep -E 'TracedQueryE2E|ok|FAIL'
 
 # Tracing bench smoke: span lifecycle and ring-store append, with
 # allocations reported. The numbers land in BENCH_obs.json; the
