@@ -90,13 +90,12 @@ type ovState struct {
 	parent  *hierarchy.Node
 	ov      *overlay.Overlay
 	members []*hierarchy.Node // ring index -> node
-	indexOf map[*hierarchy.Node]int
 	seed    uint64
 
 	// nephewMu guards nephewCache, the per-(holder, target) memo of the
-	// stable nephew selection (see System.Nephews).
+	// stable nephew selection (see nephewPicks).
 	nephewMu    sync.RWMutex
-	nephewCache map[uint64][]*hierarchy.Node
+	nephewCache map[uint64][]int32
 }
 
 // nephewCacheLimit bounds each overlay's nephew memo. The hot experiments
@@ -178,7 +177,7 @@ func (s *System) SetAlive(n *hierarchy.Node, up bool) {
 	parents := append([]*hierarchy.Node{n.Parent()}, n.SecondaryParents()...)
 	for _, p := range parents {
 		if st, ok := s.states[p]; ok {
-			if idx, member := st.indexOf[n]; member {
+			if idx, member := p.IndexOfChild(n); member {
 				st.ov.SetAlive(idx, up)
 				s.dirty[st] = true
 			}
@@ -260,11 +259,7 @@ func (s *System) stateLocked(parent *hierarchy.Node) *ovState {
 		// programming error.
 		panic(fmt.Sprintf("core: building overlay for %s: %v", parent.Name(), err))
 	}
-	indexOf := make(map[*hierarchy.Node]int, len(members))
-	for i, m := range members {
-		indexOf[m] = i
-	}
-	st := &ovState{parent: parent, ov: ov, members: members, indexOf: indexOf, seed: seed}
+	st := &ovState{parent: parent, ov: ov, members: members, seed: seed}
 	s.states[parent] = st
 	// Apply any failures injected before the overlay was built.
 	needRepair := false
@@ -289,45 +284,53 @@ func (s *System) stateLocked(parent *hierarchy.Node) *ovState {
 // children of target (§4.1's randomized nephew pointers). Both arguments
 // are members of the same overlay. Fewer than q children means all of them
 // are kept. The selection depends only on (system seed, overlay, holder,
-// target), so it is stable across calls; because it is stable, it is
-// memoized per (holder, target) in the overlay state — the returned slice
-// is shared and must not be modified.
+// target), so it is stable across calls.
 func (s *System) Nephews(holder, target *hierarchy.Node) []*hierarchy.Node {
 	if holder.Parent() == nil || holder.Parent() != target.Parent() {
 		return nil
 	}
 	kids := target.Children()
-	if len(kids) == 0 {
-		return nil
-	}
 	st := s.state(holder.Parent())
-	if st == nil {
+	if len(kids) == 0 || st == nil {
 		return nil
 	}
-	key := uint64(uint32(st.indexOf[holder]))<<32 | uint64(uint32(st.indexOf[target]))
+	picks := s.nephewPicks(st, holder.RingIndex(), target.RingIndex(), len(kids))
+	out := make([]*hierarchy.Node, len(picks))
+	for i, p := range picks {
+		out[i] = kids[p]
+	}
+	return out
+}
+
+// nephewPicks is the selection behind Nephews in the form the query path
+// consumes: holder and target are ring indices in overlay st, and each
+// pick is a nephew's ring index in the overlay of target's kids children
+// (the parent assigns ring indices in Children order, so a pick into
+// Children is that index). Because the selection is stable it is memoized
+// per (holder, target); the returned slice is shared and must not be
+// modified.
+func (s *System) nephewPicks(st *ovState, holder, target, kids int) []int32 {
+	key := uint64(uint32(holder))<<32 | uint64(uint32(target))
 	st.nephewMu.RLock()
 	out, ok := st.nephewCache[key]
 	st.nephewMu.RUnlock()
 	if ok {
 		return out
 	}
-	if len(kids) <= s.cfg.Q {
-		out = make([]*hierarchy.Node, len(kids))
-		copy(out, kids)
-	} else {
-		rng := xrand.Derive(st.seed, key)
-		picks := xrand.SampleDistinct(rng, len(kids), s.cfg.Q)
-		out = make([]*hierarchy.Node, 0, s.cfg.Q)
-		for _, p := range picks {
-			out = append(out, kids[p])
+	if kids <= s.cfg.Q {
+		out = make([]int32, kids)
+		for i := range out {
+			out[i] = int32(i)
 		}
+	} else {
+		out = xrand.SampleDistinct(xrand.Derive(st.seed, key), kids, s.cfg.Q)
 	}
 	st.nephewMu.Lock()
 	if cached, ok := st.nephewCache[key]; ok {
 		out = cached // a racer beat us; keep one canonical slice
 	} else if len(st.nephewCache) < nephewCacheLimit {
 		if st.nephewCache == nil {
-			st.nephewCache = make(map[uint64][]*hierarchy.Node)
+			st.nephewCache = make(map[uint64][]int32)
 		}
 		st.nephewCache[key] = out
 	}

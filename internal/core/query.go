@@ -171,17 +171,17 @@ func (q *queryRun) run(dst *hierarchy.Node) (QueryResult, error) {
 	} else {
 		// Bootstrap (§7): the client enters through a cached member of
 		// the shallowest on-path overlay with a survivor.
-		entrance, lvl := q.bootstrap(path)
-		if entrance == nil {
+		st, entrance, lvl := q.bootstrap(path)
+		if st == nil {
 			q.res.Outcome = QueryFailed
 			return q.res, nil
 		}
 		q.res.UsedOverlay = true
-		if !q.visit(entrance) {
+		if !q.visit(st.members[entrance]) {
 			return q.res, nil
 		}
 		// Forward inside overlay S_lvl toward OD v_lvl.
-		done, err := q.overlayPhase(path, lvl, entrance)
+		done, err := q.overlayPhase(path, lvl, st, entrance)
 		if done || err != nil {
 			return q.res, err
 		}
@@ -215,16 +215,16 @@ func (q *queryRun) run(dst *hierarchy.Node) (QueryResult, error) {
 			return q.res, nil
 		}
 		entrance := q.pickEntrance(st, next)
-		if entrance == nil {
+		if entrance < 0 {
 			q.res.Outcome = QueryFailed
 			return q.res, nil
 		}
 		q.res.Hops++
 		q.res.HierarchicalHops++
-		if !q.visit(entrance) {
+		if !q.visit(st.members[entrance]) {
 			return q.res, nil
 		}
-		done, err := q.overlayPhase(path, level+1, entrance)
+		done, err := q.overlayPhase(path, level+1, st, entrance)
 		if done || err != nil {
 			return q.res, err
 		}
@@ -254,21 +254,17 @@ func (q *queryRun) runUnprotected(path []*hierarchy.Node) (QueryResult, error) {
 }
 
 // overlayPhase forwards the query across overlays starting inside overlay
-// S_lvl (whose OD node is path[lvl]) at entrance, chaining nephew hops
-// through deeper overlays while OD nodes keep being dead (footnote 4).
+// S_lvl (state st, whose OD node is path[lvl]) at the member with ring
+// index entrance, chaining nephew hops through deeper overlays while OD
+// nodes keep being dead (footnote 4). Positions travel as (overlay state,
+// ring index) pairs, the overlay's own coordinates.
 // It returns done=true when the query terminated (delivered to the final
 // destination, failed, or dropped); otherwise the query reached an alive
 // on-path node recorded for the hierarchical loop to resume.
-func (q *queryRun) overlayPhase(path []*hierarchy.Node, lvl int, entrance *hierarchy.Node) (bool, error) {
-	s := q.sys
+func (q *queryRun) overlayPhase(path []*hierarchy.Node, lvl int, st *ovState, entrance int) (bool, error) {
 	l := len(path) - 1
 	for {
 		od := path[lvl]
-		st := s.state(od.Parent())
-		if st == nil {
-			q.res.Outcome = QueryFailed
-			return true, nil
-		}
 		res, dropped, err := q.routeInOverlay(st, entrance, od)
 		if err != nil {
 			return true, err
@@ -297,10 +293,9 @@ func (q *queryRun) overlayPhase(path []*hierarchy.Node, lvl int, entrance *hiera
 				q.res.Outcome = QueryFailed
 				return true, nil
 			}
-			exit := st.members[res.Exit]
 			nextOD := path[lvl+1]
-			nephew := q.bestNephew(exit, od, nextOD)
-			if nephew == nil {
+			next, nephew := q.bestNephew(st, res.Exit, od, nextOD)
+			if nephew < 0 {
 				// All q nephew pointers target attacked nodes: the
 				// inter-overlay hop fails (probability ~ alpha^q,
 				// §5.2).
@@ -309,15 +304,15 @@ func (q *queryRun) overlayPhase(path []*hierarchy.Node, lvl int, entrance *hiera
 			}
 			q.res.Hops++
 			q.res.NephewHops++
-			if !q.visit(nephew) {
+			if !q.visit(next.members[nephew]) {
 				return true, nil
 			}
-			if nephew == nextOD {
+			if next.members[nephew] == nextOD {
 				q.lastOnPath = nextOD
 				q.lastLevel = lvl + 1
 				return false, nil
 			}
-			entrance = nephew
+			st, entrance = next, nephew
 			lvl++
 		default:
 			return true, fmt.Errorf("core: unexpected overlay outcome %v", res.Outcome)
@@ -325,11 +320,12 @@ func (q *queryRun) overlayPhase(path []*hierarchy.Node, lvl int, entrance *hiera
 	}
 }
 
-// routeInOverlay runs intra-overlay forwarding and folds the hops and the
-// visited nodes into the query result. dropped reports insider discards.
-func (q *queryRun) routeInOverlay(st *ovState, entrance, od *hierarchy.Node) (overlay.Result, bool, error) {
+// routeInOverlay runs intra-overlay forwarding from ring index entrance
+// toward od (a primary member of st) and folds the hops and the visited
+// nodes into the query result. dropped reports insider discards.
+func (q *queryRun) routeInOverlay(st *ovState, entrance int, od *hierarchy.Node) (overlay.Result, bool, error) {
 	needTrace := q.opts.TracePath || q.opts.Load != nil || len(q.sys.compromised) > 0
-	res, err := st.ov.Route(st.indexOf[entrance], st.indexOf[od], overlay.RouteOptions{
+	res, err := st.ov.Route(entrance, od.RingIndex(), overlay.RouteOptions{
 		TracePath: needTrace,
 		PathBuf:   q.ovPath,
 	})
@@ -354,81 +350,76 @@ func (q *queryRun) routeInOverlay(st *ovState, entrance, od *hierarchy.Node) (ov
 	return res, false, nil
 }
 
-// bestNephew picks, among exit's alive nephew pointers for the dead OD
-// node, the child closest in the identifier space to the next level's OD
-// node (Algorithm 2 line 12).
-func (q *queryRun) bestNephew(exit, od, nextOD *hierarchy.Node) *hierarchy.Node {
-	nephews := q.sys.Nephews(exit, od)
-	nextState := q.sys.state(od)
-	if nextState == nil {
-		return nil
+// bestNephew picks, among the alive nephew pointers that st's member exit
+// keeps for the dead OD node, the child closest in the identifier space to
+// the next level's OD node (Algorithm 2 line 12). It returns the overlay of
+// od's children and the nephew's ring index there, or -1 if no pointer
+// survives. Liveness is read from that overlay, which SetAlive keeps in
+// step with the system's own record.
+func (q *queryRun) bestNephew(st *ovState, exit int, od, nextOD *hierarchy.Node) (*ovState, int) {
+	next := q.sys.state(od)
+	if next == nil || st.members[exit].Parent() != st.parent {
+		return nil, -1 // an adopted member (§7 mesh) keeps no nephews
 	}
-	ringSize := len(nextState.members)
-	var best *hierarchy.Node
-	bestDist := ringSize + 1
-	for _, n := range nephews {
-		if !q.sys.Alive(n) {
+	ring := len(next.members)
+	odIdx := nextOD.RingIndex()
+	best, bestDist := -1, ring
+	for _, p := range q.sys.nephewPicks(st, exit, od.RingIndex(), ring) {
+		if !next.ov.Alive(int(p)) {
 			continue
 		}
-		d := idspace.IndexDist(nextState.indexOf[n], nextState.indexOf[nextOD], ringSize)
-		if d < bestDist {
-			bestDist = d
-			best = n
+		if d := idspace.IndexDist(int(p), odIdx, ring); d < bestDist {
+			best, bestDist = int(p), d
 		}
 	}
-	return best
+	return next, best
 }
 
 // bootstrap finds the shallowest on-path overlay with an alive member and
-// returns a cached entrance into it (§7 "Query Bootstrapping"). The
-// returned level is the overlay's OD level.
-func (q *queryRun) bootstrap(path []*hierarchy.Node) (*hierarchy.Node, int) {
+// returns it with a cached entrance into it (§7 "Query Bootstrapping") and
+// the overlay's OD level; a nil state means no overlay has a survivor.
+func (q *queryRun) bootstrap(path []*hierarchy.Node) (*ovState, int, int) {
 	for lvl := 1; lvl < len(path); lvl++ {
 		st := q.sys.state(path[lvl].Parent())
 		if st == nil {
 			continue
 		}
-		if e := q.randomAliveMember(st); e != nil {
-			return e, lvl
+		if e := q.randomAliveMember(st); e >= 0 {
+			return st, e, lvl
 		}
 	}
-	return nil, 0
+	return nil, -1, 0
 }
 
 // pickEntrance chooses the overlay entrance for a detour around the dead
-// OD node per the configured policy.
-func (q *queryRun) pickEntrance(st *ovState, od *hierarchy.Node) *hierarchy.Node {
+// OD node per the configured policy: a ring index in st, or -1 if no
+// member survives.
+func (q *queryRun) pickEntrance(st *ovState, od *hierarchy.Node) int {
 	if q.sys.cfg.Entrance == EntranceCCWNeighbor {
-		if i := st.ov.NearestAliveCCW(st.indexOf[od]); i >= 0 {
-			return st.members[i]
-		}
-		return nil
+		return st.ov.NearestAliveCCW(od.RingIndex())
 	}
 	return q.randomAliveMember(st)
 }
 
 // randomAliveMember picks a uniformly random alive member of an overlay, or
-// nil if none survives.
-func (q *queryRun) randomAliveMember(st *ovState) *hierarchy.Node {
+// -1 if none survives.
+func (q *queryRun) randomAliveMember(st *ovState) int {
 	n := len(st.members)
-	alive := st.ov.AliveCount()
-	if alive == 0 {
-		return nil
+	if st.ov.AliveCount() == 0 {
+		return -1
 	}
 	// Draw directly when most members survive; otherwise scan from a
 	// random offset (attack densities of interest leave survivors).
 	for attempt := 0; attempt < 4; attempt++ {
-		i := q.opts.Rng.IntN(n)
-		if st.ov.Alive(i) {
-			return st.members[i]
+		if i := q.opts.Rng.IntN(n); st.ov.Alive(i) {
+			return i
 		}
 	}
 	start := q.opts.Rng.IntN(n)
 	for d := 0; d < n; d++ {
-		i := (start + d) % n
-		if st.ov.Alive(i) {
-			return st.members[i]
+		if i := (start + d) % n; st.ov.Alive(i) {
+			return i
 		}
 	}
-	return nil
+	return -1
 }

@@ -13,10 +13,11 @@ import (
 // the base design's 1/d. Entries are clockwise index distances, ascending.
 //
 // Each node draws from its own random stream derived from (overlay seed,
-// node index), so lazily and eagerly generated tables are identical and one
-// node's table can be regenerated without touching the others.
-func (o *Overlay) genTable(i int) []int32 {
-	rng := xrand.Derive(o.seed, uint64(i))
+// refresh epoch, node index), so lazily and eagerly generated tables are
+// identical and one node's table can be regenerated without touching the
+// others. Epoch 0 is the original table.
+func (o *Overlay) genTable(i int, epoch uint64) []int32 {
+	rng := xrand.Derive(o.seed^(epoch*0x9e3779b97f4a7c15), uint64(i))
 	if o.exact {
 		return genTableExact(rng, o.n, o.k)
 	}
@@ -128,21 +129,9 @@ func Entries(rng *rand.Rand, n, k int) ([]int32, error) {
 // RegenerateTable rebuilds node i's routing table from a fresh random
 // stream, modeling the periodic table refresh of §7 ("Overlay
 // Maintenance"). epoch selects the refresh round; epoch 0 is the original
-// table. Repair-created extras are discarded, since a regenerated table
-// reflects current membership.
+// table. Repair-created extras — merged into the old table — go with it,
+// since a regenerated table reflects current membership.
 func (o *Overlay) RegenerateTable(i int, epoch uint64) {
-	rng := xrand.Derive(o.seed^(epoch*0x9e3779b97f4a7c15), uint64(i))
-	var t []int32
-	if o.exact {
-		t = genTableExact(rng, o.n, o.k)
-	} else {
-		t = genTableFast(rng, o.n, o.k)
-	}
-	if o.tables != nil {
-		o.tables[i] = t
-	} else {
-		o.lazyTables[i].Store(&t)
-	}
-	o.extrasN -= len(o.extras[int32(i)])
+	o.setTable(i, o.genTable(i, epoch))
 	delete(o.extras, int32(i))
 }

@@ -318,6 +318,60 @@ func TestHasEntryAndExtras(t *testing.T) {
 	}
 }
 
+// TestTableStaysSortedAndDeduped drives eager and lazy overlays through
+// every mutation and checks, after each, the invariant routing and repair
+// binary-search on: every node's table is strictly ascending within
+// [1, N-1], and holds exactly Algorithm 1's entries plus the ExtraEntries
+// that recovery recorded for the node.
+func TestTableStaysSortedAndDeduped(t *testing.T) {
+	for _, lazy := range []bool{false, true} {
+		cfg := Config{N: 300, K: 3, Seed: 21, Lazy: lazy}
+		o, pristine := mustNew(t, cfg), mustNew(t, cfg)
+		rng := xrand.New(22)
+		check := func(after string) {
+			t.Helper()
+			for i := 0; i < cfg.N; i++ {
+				tab := o.Table(i)
+				for j, d := range tab {
+					if d < 1 || int(d) >= cfg.N || j > 0 && tab[j-1] >= d {
+						t.Fatalf("lazy=%v after %s: node %d table %v is not strictly ascending in [1,N)", lazy, after, i, tab)
+					}
+				}
+				if want := pristine.TableSize(i) + o.ExtraEntries(i); len(tab) != want || o.TableSize(i) != want {
+					t.Fatalf("lazy=%v after %s: node %d holds %d entries (TableSize %d), want %d generated + %d extra",
+						lazy, after, i, len(tab), o.TableSize(i), pristine.TableSize(i), o.ExtraEntries(i))
+				}
+			}
+		}
+		check("New")
+		for round := uint64(1); round <= 4; round++ {
+			for i := 0; i < cfg.N; i++ {
+				o.SetAlive(i, rng.IntN(10) >= 3)
+			}
+			start := rng.IntN(cfg.N)
+			for d := 0; d < 12; d++ {
+				o.SetAlive((start+d)%cfg.N, false)
+			}
+			check("SetAlive")
+			if round%2 == 0 {
+				o.BridgeGapsIdeal()
+				check("BridgeGapsIdeal")
+			}
+			o.Repair()
+			check("Repair")
+			o.Stabilize(0)
+			check("Stabilize")
+			i, j := rng.IntN(cfg.N), rng.IntN(cfg.N)
+			o.addExtraEntry(i, j)
+			o.addExtraEntry(i, j)
+			check("addExtraEntry")
+			o.RegenerateTable(i, round)
+			pristine.RegenerateTable(i, round)
+			check("RegenerateTable")
+		}
+	}
+}
+
 func TestSetAlive(t *testing.T) {
 	o := mustNew(t, Config{N: 10, Seed: 1})
 	if o.AliveCount() != 10 {

@@ -115,25 +115,23 @@ type Overlay struct {
 	exact  bool
 
 	// tables[i] holds node i's sibling pointers as clockwise index
-	// distances, sorted ascending. Eager overlays fill it at construction
-	// and routing reads it directly (contiguous slice headers, no
-	// indirection on the hot path). Lazy overlays leave it nil and use
-	// lazyTables instead.
+	// distances, sorted ascending and free of duplicates — Algorithm 1's
+	// entries plus any the active-recovery protocol created since. Eager
+	// overlays fill it at construction and routing reads it directly
+	// (contiguous slice headers, no indirection on the hot path). Lazy
+	// overlays leave it nil and use lazyTables instead.
 	tables [][]int32
 	// lazyTables backs lazy mode: slot i is nil until node i's table is
 	// first needed, and generation installs it with a compare-and-swap so
 	// concurrent Route calls on a shared lazy overlay are race-free
 	// (duplicate generations are identical; the CAS loser is discarded).
 	lazyTables []atomic.Pointer[[]int32]
-	// extras[i] holds routing entries created outside Algorithm 1 (by the
-	// active-recovery protocol), as clockwise distances. Kept separate so
-	// regeneration and repair interact predictably.
-	extras map[int32][]int32
-	// extrasN counts the entries across extras. The steady state of every
-	// figure run has no repair entries at all; keeping the count lets the
-	// per-hop lookups (HasEntry, bestGreedyHop) skip the map entirely
-	// instead of paying a hash per hop.
-	extrasN int
+	// extras[i] counts node i's entries created outside Algorithm 1 (by
+	// the active-recovery protocol). The entries themselves are merged
+	// into the node's table when repair creates them, so no reader
+	// consults this; it is the record ExtraEntries reports and
+	// RegenerateTable clears.
+	extras map[int32]int
 
 	alive      []bool
 	aliveCount int
@@ -168,7 +166,7 @@ func New(cfg Config) (*Overlay, error) {
 		seed:       cfg.Seed,
 		lazy:       cfg.Lazy,
 		exact:      cfg.ForceExactGen || cfg.N <= fastGenThreshold,
-		extras:     make(map[int32][]int32),
+		extras:     make(map[int32]int),
 		alive:      make([]bool, cfg.N),
 		aliveCount: cfg.N,
 		ccw:        make([]int32, cfg.N),
@@ -182,7 +180,7 @@ func New(cfg Config) (*Overlay, error) {
 	} else {
 		o.tables = make([][]int32, cfg.N)
 		for i := 0; i < o.n; i++ {
-			o.tables[i] = o.genTable(i)
+			o.tables[i] = o.genTable(i, 0)
 		}
 	}
 	return o, nil
@@ -229,37 +227,32 @@ func (o *Overlay) table(i int) []int32 {
 	if p := o.lazyTables[i].Load(); p != nil {
 		return *p
 	}
-	t := o.genTable(i)
+	t := o.genTable(i, 0)
 	if o.lazyTables[i].CompareAndSwap(nil, &t) {
 		return t
 	}
 	return *o.lazyTables[i].Load()
 }
 
-// Table returns node i's routing entries as clockwise index distances in
-// ascending order, including any entries created by repair. The slice is a
-// copy when extras exist; otherwise it aliases internal storage and must
-// not be modified.
-func (o *Overlay) Table(i int) []int32 {
-	t := o.table(i)
-	ex := o.extras[int32(i)]
-	if len(ex) == 0 {
-		return t
+// setTable installs node i's table. Like every mutation it requires
+// exclusive access, so a lazy slot is simply stored.
+func (o *Overlay) setTable(i int, t []int32) {
+	if o.tables != nil {
+		o.tables[i] = t
+	} else {
+		o.lazyTables[i].Store(&t)
 	}
-	merged := make([]int32, 0, len(t)+len(ex))
-	merged = append(merged, t...)
-	for _, d := range ex {
-		merged = insertSorted(merged, d)
-	}
-	return merged
 }
+
+// Table returns node i's routing entries as clockwise index distances in
+// ascending order, including any entries created by repair. The slice
+// aliases internal storage and must not be modified.
+func (o *Overlay) Table(i int) []int32 { return o.table(i) }
 
 // TableSize returns the number of routing entries node i holds (the unit of
 // Figure 5: one entry is one sibling pointer plus its q nephews in the
 // enhanced design).
-func (o *Overlay) TableSize(i int) int {
-	return len(o.table(i)) + len(o.extras[int32(i)])
-}
+func (o *Overlay) TableSize(i int) int { return len(o.table(i)) }
 
 // HasEntry reports whether node i's routing table (including repair
 // entries) contains node j.
@@ -267,34 +260,25 @@ func (o *Overlay) HasEntry(i, j int) bool {
 	if i == j {
 		return false
 	}
-	d := int32(idspace.IndexDist(i, j, o.n))
-	if containsSorted(o.table(i), d) {
-		return true
-	}
-	if o.extrasN != 0 {
-		for _, e := range o.extras[int32(i)] {
-			if e == d {
-				return true
-			}
-		}
-	}
-	return false
+	return containsSorted(o.table(i), int32(idspace.IndexDist(i, j, o.n)))
 }
 
 // addExtraEntry records a repair-created routing entry at node i pointing
-// to node j. It is idempotent.
+// to node j, merging it into i's sorted table. It is idempotent.
 func (o *Overlay) addExtraEntry(i, j int) {
-	if i == j || o.HasEntry(i, j) {
+	t, d := o.table(i), int32(idspace.IndexDist(i, j, o.n))
+	at := lowerBound(t, d)
+	if i == j || at < len(t) && t[at] == d {
 		return
 	}
-	d := int32(idspace.IndexDist(i, j, o.n))
-	key := int32(i)
-	o.extras[key] = insertSorted(o.extras[key], d)
-	o.extrasN++
+	merged := make([]int32, 0, len(t)+1)
+	merged = append(append(append(merged, t[:at]...), d), t[at:]...)
+	o.setTable(i, merged)
+	o.extras[int32(i)]++
 }
 
 // ExtraEntries returns the number of repair-created entries at node i.
-func (o *Overlay) ExtraEntries(i int) int { return len(o.extras[int32(i)]) }
+func (o *Overlay) ExtraEntries(i int) int { return o.extras[int32(i)] }
 
 // CCW returns node i's current counter-clockwise neighbor pointer. The
 // target may be dead if no repair has run since the failure.
@@ -327,36 +311,8 @@ func (o *Overlay) NearestAliveCW(i int) int {
 	return -1
 }
 
-// insertSorted inserts v into sorted ascending s if absent.
-func insertSorted(s []int32, v int32) []int32 {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(s) && s[lo] == v {
-		return s
-	}
-	s = append(s, 0)
-	copy(s[lo+1:], s[lo:])
-	s[lo] = v
-	return s
-}
-
 // containsSorted reports whether sorted ascending s contains v.
 func containsSorted(s []int32, v int32) bool {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(s) && s[lo] == v
+	at := lowerBound(s, v)
+	return at < len(s) && s[at] == v
 }

@@ -1,6 +1,9 @@
 package overlay
 
-import "repro/internal/idspace"
+import (
+	"repro/internal/idspace"
+	"repro/internal/routing"
+)
 
 // RepairStats summarizes one run of the active-recovery protocol (§4.3).
 type RepairStats struct {
@@ -87,34 +90,26 @@ func (o *Overlay) aliveCCWWithin(x, maxDist int) (int, bool) {
 }
 
 // routeRepair forwards a Repair message destined to origin around the ring
-// per the §4.3 rules and returns the node that ends up bridging the gap:
+// per the §4.3 rules and returns the node that ends up bridging the gap.
+// Every hop takes the first live target of the kernel's repair ranking:
 //
-//   - a node without origin in its routing table forwards the message like
-//     a normal query (greedy toward origin);
-//   - a node with origin in its table forwards it using the second-best
-//     choice, pushing the message past direct pointers so it keeps
-//     approaching the gap from the counter-clockwise side;
-//   - a node that cannot forward under either rule is the bridger: it
-//     creates a routing entry for origin.
+//   - the origin launches over its whole table (RepairLaunchOrder), i.e.
+//     to its target closest to itself going clockwise around the circle;
+//   - every other node forwards over the entries strictly closer to the
+//     origin than itself (RepairForwardOrder). A node without origin in
+//     its table thereby forwards like a normal query; a node with it takes
+//     the second-best choice, pushing the message past direct pointers so
+//     it keeps approaching the gap from the counter-clockwise side;
+//   - a node that cannot forward is the bridger: it creates a routing
+//     entry for origin.
 func (o *Overlay) routeRepair(origin int) (bridger, hops int, ok bool) {
-	// The origin launches the message to its table target closest to
-	// itself going clockwise around the full circle.
-	u, launched := o.bestRepairHop(origin, origin, o.n) // any alive entry, largest distance
+	u, launched := o.repairHop(origin, o.n)
 	if !launched {
 		return 0, 0, false
 	}
 	hops = 1
 	for hops <= o.n {
-		d := idspace.IndexDist(u, origin, o.n)
-		var next int
-		var forwarded bool
-		if o.HasEntry(u, origin) {
-			// Second-best rule: best would be the direct pointer
-			// (distance d); take the largest alive entry short of it.
-			next, forwarded = o.bestRepairHop(u, origin, d)
-		} else {
-			next, forwarded = o.bestRepairHop(u, origin, d+1)
-		}
+		next, forwarded := o.repairHop(u, idspace.IndexDist(u, origin, o.n))
 		if !forwarded {
 			return u, hops, true
 		}
@@ -126,34 +121,19 @@ func (o *Overlay) routeRepair(origin int) (bridger, hops int, ok bool) {
 	return 0, hops, false
 }
 
-// bestRepairHop returns u's alive routing target with the largest clockwise
-// distance strictly below limit, or ok=false if none exists.
-func (o *Overlay) bestRepairHop(u, origin, limit int) (next int, ok bool) {
-	best := -1
-	consider := func(d int32) {
-		if int(d) >= limit || int(d) <= best {
-			return
-		}
-		cand := idspace.IndexAdd(u, int(d), o.n)
-		if o.alive[cand] {
-			best = int(d)
-			next = cand
-		}
-	}
+// repairHop returns u's alive routing target with the largest clockwise
+// distance strictly below limit — the first live step of the kernel's
+// repair ranking over that prefix of u's table — or ok=false if none
+// exists.
+func (o *Overlay) repairHop(u, limit int) (next int, ok bool) {
+	var stack [planStack]routing.Step
 	t := o.table(u)
-	for i := len(t) - 1; i >= 0; i-- {
-		consider(t[i])
-		if best != -1 {
-			break // sorted descending scan: first alive in-range hit is the largest
+	for _, st := range routing.RankTo(nil, lowerBound(t, int32(limit)), stack[:0]) {
+		if c := idspace.IndexAdd(u, int(t[st.Entry]), o.n); o.alive[c] {
+			return c, true
 		}
 	}
-	for _, d := range o.extras[int32(u)] {
-		consider(d)
-	}
-	if best == -1 {
-		return 0, false
-	}
-	return next, true
+	return 0, false
 }
 
 // Stabilize refines counter-clockwise pointers by the conventional
@@ -182,7 +162,7 @@ func (o *Overlay) Stabilize(maxRounds int) int {
 			}
 			// The closest alive node y knows strictly between itself
 			// and x.
-			if z, ok := o.bestRepairHop(y, x, idspace.IndexDist(y, x, o.n)); ok && z != x {
+			if z, ok := o.repairHop(y, idspace.IndexDist(y, x, o.n)); ok {
 				o.setCCW(x, z)
 				changed++
 			}

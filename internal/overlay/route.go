@@ -2,7 +2,6 @@ package overlay
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/idspace"
 	"repro/internal/metrics"
@@ -74,29 +73,20 @@ type Result struct {
 	Path []int32
 }
 
-// routeScratch is the per-route working set: one reusable view and plan,
-// pooled so concurrent Route calls on a shared overlay stay allocation-free
-// (alloc_test.go pins AllocsPerRun == 0 on the healthy path).
-type routeScratch struct {
-	view routing.View
-	plan routing.Plan
-}
-
-var routePool = sync.Pool{New: func() any { return new(routeScratch) }}
-
 // Route forwards a query from entrance node src toward the
 // overlay-destination node od, per Algorithm 2 (base design) or
 // Algorithm 3 (enhanced design). src must be alive; od may be dead, in
 // which case the walk looks for an exit node.
 //
 // The decision at each visited node is made by the shared routing kernel
-// (internal/routing): Route assembles the node's local view, asks
-// NextHops for the ranked plan, and "attempts" each planned hop by
-// checking the target's liveness — the sim's stand-in for the live node's
-// RPC. Backward mode follows each node's counter-clockwise pointer. If a
-// pointer targets a dead node (a gap that active recovery has not yet
-// bridged — §4.3), the route fails; run Repair or BridgeGapsIdeal after
-// failures to model a recovered overlay.
+// (internal/routing): Route locates the OD in the node's sorted table of
+// int32 index distances — the sim's native metric, no identifiers are
+// built — asks Decide for the ranked plan, and "attempts" each planned
+// hop by checking the target's liveness, the sim's stand-in for the live
+// node's RPC. Backward mode follows each node's counter-clockwise
+// pointer. If a pointer targets a dead node (a gap that active recovery
+// has not yet bridged — §4.3), the route fails; run Repair or
+// BridgeGapsIdeal after failures to model a recovered overlay.
 func (o *Overlay) Route(src, od int, opts RouteOptions) (Result, error) {
 	if src < 0 || src >= o.n {
 		return Result{}, fmt.Errorf("overlay: route src %d out of range [0,%d)", src, o.n)
@@ -112,8 +102,14 @@ func (o *Overlay) Route(src, od int, opts RouteOptions) (Result, error) {
 		maxHops = 3 * o.n
 	}
 
-	sc := routePool.Get().(*routeScratch)
-	defer routePool.Put(sc)
+	design := routing.Enhanced
+	if o.design == Base {
+		design = routing.Base
+	}
+	// The plan lives on this frame; only a table wider than the array (K
+	// beyond every figure's) makes append spill to the heap.
+	var stack [planStack]routing.Step
+	plan := stack[:0]
 
 	res := Result{Exit: src}
 	u := src
@@ -136,11 +132,28 @@ func (o *Overlay) Route(src, od int, opts RouteOptions) (Result, error) {
 			return res, nil
 		}
 
-		odID := o.fillView(&sc.view, u, od)
-		routing.NextHops(&sc.view, odID, backward, &sc.plan)
+		// Locate: the sim models the steady state of §4.1 (every entry's
+		// nephews were fetched when the table was built), so any OD entry
+		// is an exit in the enhanced design; per-peer suspicion is a
+		// live-node concern and every entry ranks clean.
+		t := o.table(u)
+		odd := int32(idspace.IndexDist(u, od, o.n))
+		at := routing.Locus{Closer: lowerBound(t, odd)}
+		if at.Closer < len(t) && t[at.Closer] == odd {
+			at.HasOD = true
+			at.Exit = design == routing.Enhanced || odd == 1
+		}
+		ccw := int(o.ccw[u])
+		if ccw != u {
+			at.CCW = routing.CCWOK
+			if int32(idspace.IndexDist(ccw, od, o.n)) <= odd {
+				at.CCW = routing.CCWWraps
+			}
+		}
+		plan, _ = routing.Decide(design, at, backward, nil, plan[:0])
 
 		next := -1
-		for _, st := range sc.plan.Steps {
+		for _, st := range plan {
 			switch st.Kind {
 			case routing.StepOD:
 				if o.alive[od] {
@@ -153,19 +166,18 @@ func (o *Overlay) Route(src, od int, opts RouteOptions) (Result, error) {
 				res.Exit = u
 				return res, nil
 			case routing.StepGreedy:
-				if c := sc.view.Entries[st.Entry].Index; o.alive[c] {
+				if c := idspace.IndexAdd(u, int(t[st.Entry]), o.n); o.alive[c] {
 					next = c
 				}
 			case routing.StepBackward:
-				c := sc.view.CCW.Index
-				if !o.alive[c] {
+				if !o.alive[ccw] {
 					// Unbridged gap: backward forwarding cannot proceed
 					// until recovery runs.
 					res.Outcome = Failed
 					res.Exit = u
 					return res, nil
 				}
-				next = c
+				next = ccw
 				backward = true
 				res.BackwardHops++
 			}
@@ -192,99 +204,16 @@ func (o *Overlay) Route(src, od int, opts RouteOptions) (Result, error) {
 	}
 }
 
-// fillView assembles node u's local view for the kernel in self-origin
-// coordinates: u sits at identifier zero and every other node is embedded
-// at FromUint64 of its clockwise index distance from u. The embedding is
-// monotone on [0, N), so every circular comparison the kernel makes —
-// greedy bound, OD-entry equality, the CCW wrap check — agrees exactly
-// with the IndexDist arithmetic the sim is defined in. Entries beyond the
-// OD distance are omitted: the kernel never ranks a candidate past the OD
-// node, and the healthy walk's view shrinks every hop. Returns the OD's
-// embedded identifier.
-func (o *Overlay) fillView(v *routing.View, u, od int) idspace.ID {
-	odd := int32(idspace.IndexDist(u, od, o.n))
-	v.N = o.n
-	v.SelfIndex = u
-	v.SelfID = idspace.ID{}
-	if o.design == Base {
-		v.Design = routing.Base
-	} else {
-		v.Design = routing.Enhanced
-	}
+// planStack sizes the on-stack plan storage of Route and repairHop.
+const planStack = 96
 
-	ents := v.Entries[:0]
-	t := o.table(u)
-	t = t[:upperBound(t, odd)]
-	if o.extrasN == 0 {
-		for _, d := range t {
-			ents = appendSimEntry(ents, u, d, o.n)
-		}
-	} else {
-		// Merge the sorted table prefix with the (sorted) repair-created
-		// extras; addExtraEntry guarantees the runs are disjoint.
-		ex := o.extras[int32(u)]
-		i, j := 0, 0
-		for i < len(t) && j < len(ex) && ex[j] <= odd {
-			if t[i] < ex[j] {
-				ents = appendSimEntry(ents, u, t[i], o.n)
-				i++
-			} else {
-				ents = appendSimEntry(ents, u, ex[j], o.n)
-				j++
-			}
-		}
-		for ; i < len(t); i++ {
-			ents = appendSimEntry(ents, u, t[i], o.n)
-		}
-		for ; j < len(ex) && ex[j] <= odd; j++ {
-			ents = appendSimEntry(ents, u, ex[j], o.n)
-		}
-	}
-	v.Entries = ents
-
-	ccw := int(o.ccw[u])
-	v.HasCCW = ccw != u
-	if v.HasCCW {
-		id := idspace.FromUint64(uint64(idspace.IndexDist(u, ccw, o.n)))
-		v.CCW = routing.Entry{Peer: routing.Peer{Index: ccw}, ID: id, Dist: id}
-	} else {
-		v.CCW = routing.Entry{}
-	}
-	return idspace.FromUint64(uint64(odd))
-}
-
-// appendSimEntry appends the entry at clockwise distance d from u. The sim
-// models the steady state of §4.1 — every entry's nephews were fetched
-// when the table was built — so each entry is a usable exit; per-peer
-// suspicion is a live-node concern and stays zero here.
-//
-// Fields are written in place rather than appending a composite literal:
-// the scratch entries are only ever written by this function, so the
-// name/addr/nephew/suspicion fields are zero already and skipping their
-// ~56 bytes of copy per entry per hop is a measurable win on the sim's
-// query hot path (this loop is the per-hop cost of sharing the kernel).
-func appendSimEntry(ents []routing.Entry, u int, d int32, n int) []routing.Entry {
-	if len(ents) < cap(ents) {
-		ents = ents[:len(ents)+1]
-	} else {
-		ents = append(ents, routing.Entry{})
-	}
-	e := &ents[len(ents)-1]
-	id := idspace.FromUint64(uint64(d))
-	e.Index = idspace.IndexAdd(u, int(d), n)
-	e.ID = id
-	e.Dist = id
-	e.HasNephews = true
-	return ents
-}
-
-// upperBound returns the number of elements in sorted ascending s that are
-// <= v.
-func upperBound(s []int32, v int32) int {
+// lowerBound returns the number of elements in sorted ascending s that are
+// < v: the position of v if present, its insertion point otherwise.
+func lowerBound(s []int32, v int32) int {
 	lo, hi := 0, len(s)
 	for lo < hi {
-		mid := (lo + hi) / 2
-		if s[mid] <= v {
+		mid := int(uint(lo+hi) >> 1)
+		if s[mid] < v {
 			lo = mid + 1
 		} else {
 			hi = mid

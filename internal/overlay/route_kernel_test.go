@@ -130,29 +130,15 @@ func refHasUsableODEntry(o *Overlay, u, od int) bool {
 
 func refBestGreedyHop(o *Overlay, u, od int) (next int, ok bool) {
 	dist := int32(idspace.IndexDist(u, od, o.n))
-	t := o.table(u)
-	idx := upperBound(t, dist)
-	for i := idx - 1; i >= 0; i-- {
+	t := o.Table(u) // Algorithm 1's entries and repair's, ascending
+	for i := len(t) - 1; i >= 0; i-- {
+		if t[i] > dist {
+			continue
+		}
 		cand := idspace.IndexAdd(u, int(t[i]), o.n)
 		if o.alive[cand] {
 			return cand, true
 		}
-	}
-	if o.extrasN == 0 {
-		return 0, false
-	}
-	var best int32 = -1
-	for _, d := range o.extras[int32(u)] {
-		if d <= dist && d > best {
-			cand := idspace.IndexAdd(u, int(d), o.n)
-			if o.alive[cand] {
-				best = d
-				next = cand
-			}
-		}
-	}
-	if best >= 0 {
-		return next, true
 	}
 	return 0, false
 }
@@ -183,54 +169,111 @@ func diffCompare(t *testing.T, o *Overlay, src, od int, label string) {
 	}
 }
 
-// TestRouteKernelDifferential sweeps overlay sizes, designs, fault
-// patterns, and repair states, asserting the kernel walk is byte-for-byte
-// the algorithm the oracle implements.
+// TestRouteKernelDifferential sweeps overlay sizes, designs, eager and
+// lazy tables, fault patterns, and repair states, asserting the kernel walk
+// is byte-for-byte the algorithm the oracle implements.
 func TestRouteKernelDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
-	sizes := []int{2, 3, 5, 17, 64, 257}
+	type shape struct{ n, k int }
+	shapes := []shape{{2, 1}, {2, 3}, {3, 1}, {3, 3}, {5, 1}, {5, 3}, {17, 1}, {17, 3},
+		{64, 1}, {64, 3}, {257, 1}, {257, 3}, {2000, 5}} // the last is the sim_attack ring
 	if testing.Short() {
-		sizes = []int{2, 5, 64}
+		shapes = []shape{{2, 1}, {5, 3}, {64, 1}, {64, 3}, {2000, 5}}
 	}
 	for _, design := range []Design{Base, Enhanced} {
-		for _, n := range sizes {
-			for _, k := range []int{1, 3} {
-				if design == Base && k != 1 {
-					continue
-				}
-				o, err := New(Config{N: n, Design: design, K: k, Seed: rng.Uint64()})
-				if err != nil {
-					t.Fatal(err)
-				}
-				// Phase 1: healthy ring.
-				diffSweep(t, rng, o, "healthy")
-
-				// Phase 2: random failures at increasing rates.
-				for _, rate := range []float64{0.1, 0.3, 0.6} {
-					for i := 0; i < n; i++ {
-						o.SetAlive(i, rng.Float64() >= rate)
-					}
-					diffSweep(t, rng, o, "faulty")
-				}
-
-				// Phase 3: a contiguous dead block (> k, the massive-failure
-				// shape §4.3 exists for), then repair, then more routing —
-				// extras and rewritten CCW pointers must stay equivalent.
-				for i := 0; i < n; i++ {
-					o.SetAlive(i, true)
-				}
-				start := rng.Intn(n)
-				for d := 0; d < k+2 && d < n-1; d++ {
-					o.SetAlive(idspace.IndexAdd(start, d, n), false)
-				}
-				diffSweep(t, rng, o, "gap")
-				if design == Enhanced {
-					o.Repair()
-					diffSweep(t, rng, o, "repaired")
-				}
+		for _, sh := range shapes {
+			if design == Base && sh.k != 1 {
+				continue
+			}
+			for _, lazy := range []bool{false, true} {
+				cfg := Config{N: sh.n, Design: design, K: sh.k, Seed: rng.Uint64(), Lazy: lazy}
+				diffLifecycle(t, rng, cfg)
 			}
 		}
 	}
+}
+
+// diffLifecycle walks one overlay through the states a figure run can put
+// it in, comparing routes in each.
+func diffLifecycle(t *testing.T, rng *rand.Rand, cfg Config) {
+	t.Helper()
+	n, k := cfg.N, cfg.K
+	o, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Phase 1: healthy ring.
+	diffSweep(t, rng, o, "healthy")
+
+	// Phase 2: random failures at increasing rates.
+	for _, rate := range []float64{0.1, 0.3, 0.6} {
+		for i := 0; i < n; i++ {
+			o.SetAlive(i, rng.Float64() >= rate)
+		}
+		diffSweep(t, rng, o, "faulty")
+	}
+
+	// Phase 3: a contiguous dead block (> k, the massive-failure shape
+	// §4.3 exists for), then repair, then more routing — merged repair
+	// entries and rewritten CCW pointers must stay equivalent.
+	for i := 0; i < n; i++ {
+		o.SetAlive(i, true)
+	}
+	start := rng.Intn(n)
+	for d := 0; d < k+2 && d < n-1; d++ {
+		o.SetAlive(idspace.IndexAdd(start, d, n), false)
+	}
+	diffSweep(t, rng, o, "gap")
+	if cfg.Design != Enhanced {
+		return
+	}
+	o.Repair()
+	diffSweep(t, rng, o, "repaired")
+
+	// Phase 4: the bridgers refresh their tables (§7), which discards the
+	// repair entries merged into them, and then fall to the attack too:
+	// the next repair must bridge the wider gap from scratch.
+	fresh, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if o.ExtraEntries(i) == 0 {
+			continue
+		}
+		o.RegenerateTable(i, 1)
+		fresh.RegenerateTable(i, 1)
+		if o.ExtraEntries(i) != 0 || !equalTables(o.Table(i), fresh.Table(i)) {
+			t.Fatalf("n=%d k=%d: node %d regenerated to %v with %d extras, a fresh overlay to %v",
+				n, k, i, o.Table(i), o.ExtraEntries(i), fresh.Table(i))
+		}
+		if o.AliveCount() > 2 {
+			o.SetAlive(i, false)
+		}
+	}
+	diffSweep(t, rng, o, "regenerated")
+	stats := o.Repair()
+	created := 0
+	for i := 0; i < n; i++ {
+		created += o.ExtraEntries(i)
+	}
+	if created != stats.EntriesCreated {
+		t.Fatalf("n=%d k=%d: second repair reports %d entries created, tables record %d",
+			n, k, stats.EntriesCreated, created)
+	}
+	diffSweep(t, rng, o, "re-repaired")
+}
+
+func equalTables(a, b []int32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // diffSweep compares a batch of random (src, od) pairs plus every pair on

@@ -1,21 +1,25 @@
 // Package routing is the transport-agnostic HOURS routing kernel: the
 // forwarding discipline of Algorithms 2 and 3 (paper §3.3, §4.2) and the
-// candidate ranking of the §4.3 active-recovery protocol, expressed as
-// pure functions over an immutable View.
+// candidate ranking of the §4.3 active-recovery protocol, as pure
+// functions.
 //
 // Both the simulator (internal/overlay) and the live node (internal/node)
 // consume this package, so the tree holds exactly one implementation of
-// the greedy/nephew/backward decision and one implementation of the
-// suspicion-aware candidate ranking. A View is a value snapshot of one
-// node's local routing state — self identity, sorted table entries,
-// counter-clockwise pointer, per-peer suspicion — and the kernel never
-// mutates it, performs I/O, or consults clocks: callers decide liveness
-// by attempting the planned hops in order.
+// the greedy/nephew/backward decision (Decide) and one implementation of
+// the suspicion-aware candidate ranking (RankTo). The decision is split in
+// two. Locating — where the overlay destination falls in a node's sorted
+// table — is the producer's job, in the producer's own metric: the live
+// node publishes a View, a value snapshot of its local routing state keyed
+// by 160-bit identifiers, and NextHops locates in it; the simulator locates
+// in its int32 index distances and builds no View at all. Deciding is
+// key-free: Decide turns the positional Locus into a ranked Plan. The
+// kernel never mutates its inputs, performs I/O, or consults clocks:
+// callers decide liveness by attempting the planned hops in order.
 //
-// All functions are allocation-free when the caller reuses a Plan: the
-// hot query path loads a published view and builds its plan with zero
-// locks and zero heap traffic (pinned by tests and the BENCH_routing
-// gate in check.sh).
+// All functions are allocation-free when the caller reuses the plan's
+// storage: the hot query path loads a published view and builds its plan
+// with zero locks and zero heap traffic (pinned by tests and the
+// BENCH_routing gate in check.sh).
 package routing
 
 import "repro/internal/idspace"
@@ -102,9 +106,9 @@ const (
 	StepBackward
 )
 
-// Step is one planned hop attempt. Entry indexes View.Entries for
-// StepOD/StepNephew/StepGreedy and is -1 for StepBackward (the target is
-// View.CCW).
+// Step is one planned hop attempt. Entry indexes the table the plan was
+// located in (View.Entries for NextHops) for StepOD/StepNephew/StepGreedy
+// and is -1 for StepBackward (the target is the counter-clockwise pointer).
 type Step struct {
 	Kind  StepKind
 	Entry int32
@@ -145,6 +149,37 @@ func (v *View) Target(s Step) *Entry {
 	return &v.Entries[s.Entry]
 }
 
+// CCWStep says what following the counter-clockwise pointer would do for
+// the query being located.
+type CCWStep uint8
+
+const (
+	// CCWNone: no usable counter-clockwise pointer.
+	CCWNone CCWStep = iota
+	// CCWOK: the pointer's target is strictly farther from the OD node
+	// than self, so a backward step makes progress.
+	CCWOK
+	// CCWWraps: the step would wrap past the OD node.
+	CCWWraps
+)
+
+// Locus is where a query's overlay destination falls in one node's sorted
+// table, stated positionally so the decision needs no identifiers. Each
+// producer locates in its own metric — the live node on 160-bit distances
+// (View.locate), the simulator on int32 index distances — and Decide turns
+// the locus into a plan.
+type Locus struct {
+	// Closer is the number of entries strictly closer than the OD node:
+	// the greedy candidates are entries [0, Closer).
+	Closer int
+	// HasOD: entry Closer is the OD node's own. Exit: it also qualifies
+	// self as an exit node for a dead OD — any entry with nephews in the
+	// enhanced design (§4.1), only the immediate clockwise neighbor in
+	// the base design (§3.1).
+	HasOD, Exit bool
+	CCW         CCWStep
+}
+
 // lowerBound returns the index of the first entry with Dist >= bound.
 func (v *View) lowerBound(bound idspace.ID) int {
 	lo, hi := 0, len(v.Entries)
@@ -159,41 +194,53 @@ func (v *View) lowerBound(bound idspace.ID) int {
 	return lo
 }
 
-// usableExit reports whether entry i qualifies the self node as an exit
-// node for a dead target: in the enhanced design any entry with nephews
-// does (§4.1); in the base design only the immediate clockwise-neighbor
-// entry (§3.1).
-func (v *View) usableExit(i int) bool {
-	if v.Design == Base {
-		return idspace.IndexDist(v.SelfIndex, v.Entries[i].Index, v.N) == 1
+// locate finds the OD identifier's locus in the view. One binary search
+// serves both decisions: the greedy bound and, when the entry there sits
+// exactly at the OD's distance, the OD's own table entry.
+func (v *View) locate(od idspace.ID) Locus {
+	odDist := idspace.Distance(v.SelfID, od)
+	at := Locus{Closer: v.lowerBound(odDist)}
+	if at.Closer < len(v.Entries) && v.Entries[at.Closer].Dist == odDist {
+		at.HasOD = true
+		if v.Design == Base {
+			at.Exit = idspace.IndexDist(v.SelfIndex, v.Entries[at.Closer].Index, v.N) == 1
+		} else {
+			at.Exit = v.Entries[at.Closer].HasNephews
+		}
 	}
-	return v.Entries[i].HasNephews
+	if v.HasCCW {
+		at.CCW = CCWOK
+		if idspace.Distance(v.CCW.ID, od).Compare(odDist) <= 0 {
+			at.CCW = CCWWraps
+		}
+	}
+	return at
 }
 
-// NextHops builds the ranked forwarding plan for a query whose
-// overlay destination sits at identifier od: the direct OD entry first,
-// then — if that entry is a usable exit — the nephew descent that ends
-// the walk, otherwise the greedy candidates (skipped once the query is
-// in backward mode) and finally the backward step. The plan is written
-// into p, whose storage is reused.
+// NextHops builds the ranked forwarding plan for a query whose overlay
+// destination sits at identifier od: Decide at the view's locus for od,
+// ranked by the entries' suspicion. The plan is written into p, whose
+// storage is reused.
 func NextHops(v *View, od idspace.ID, backward bool, p *Plan) {
-	p.Steps = p.Steps[:0]
-	p.Blocked = BlockedNone
-	odDist := idspace.Distance(v.SelfID, od)
+	p.Steps, p.Blocked = Decide(v.Design, v.locate(od), backward, v.Entries, p.Steps[:0])
+}
 
-	// One binary search serves both decisions: lb is the greedy bound
-	// (entries strictly closer than the OD) and, when the entry at lb
-	// sits exactly at odDist, the OD's own table entry.
-	lb := v.lowerBound(odDist)
-
+// Decide is the one forwarding rule of Algorithms 2 and 3, key-free: the
+// direct OD entry first, then — if that entry is a usable exit — the
+// nephew descent that ends the walk, otherwise the greedy candidates
+// (skipped once the query is in backward mode) and finally the backward
+// step. Step.Entry indexes the table at was located in; susp supplies the
+// per-entry suspicion the greedy ranking reads (nil: every entry is clean).
+// The plan is appended to steps and returned by value, so a caller can
+// keep it on its own stack.
+func Decide(design Design, at Locus, backward bool, susp []Entry, steps []Step) ([]Step, BlockReason) {
 	// Algorithm 3 lines 1-7: the OD node is in the routing table. If the
 	// entry is a usable exit, the plan ends here — a dead OD makes self
 	// the exit node, and there is nothing to route past it.
-	if lb < len(v.Entries) && v.Entries[lb].Dist == odDist {
-		p.Steps = append(p.Steps, Step{Kind: StepOD, Entry: int32(lb)})
-		if v.usableExit(lb) {
-			p.Steps = append(p.Steps, Step{Kind: StepNephew, Entry: int32(lb)})
-			return
+	if at.HasOD {
+		steps = append(steps, Step{Kind: StepOD, Entry: int32(at.Closer)})
+		if at.Exit {
+			return append(steps, Step{Kind: StepNephew, Entry: int32(at.Closer)}), BlockedNone
 		}
 	}
 
@@ -201,22 +248,18 @@ func NextHops(v *View, od idspace.ID, backward bool, p *Plan) {
 	// entries strictly closer to the OD, suspicion-ranked. A query
 	// already walking backward never resumes greedy forwarding.
 	if !backward {
-		rankTo(v, lb, p)
+		steps = RankTo(susp, at.Closer, steps)
 	}
 
-	if v.Design == Base {
-		p.Blocked = BlockedNoBackwardMode
-		return
+	switch {
+	case design == Base:
+		return steps, BlockedNoBackwardMode
+	case at.CCW == CCWNone:
+		return steps, BlockedNoCCW
+	case at.CCW == CCWWraps:
+		return steps, BlockedWrapped
 	}
-	if !v.HasCCW {
-		p.Blocked = BlockedNoCCW
-		return
-	}
-	if idspace.Distance(v.CCW.ID, od).Compare(odDist) <= 0 {
-		p.Blocked = BlockedWrapped
-		return
-	}
-	p.Steps = append(p.Steps, Step{Kind: StepBackward, Entry: -1})
+	return append(steps, Step{Kind: StepBackward, Entry: -1}), BlockedNone
 }
 
 // RepairForwardOrder ranks the candidates for forwarding a §4.3 Repair
@@ -225,39 +268,47 @@ func NextHops(v *View, od idspace.ID, backward bool, p *Plan) {
 // first, farthest-reaching next — a repair races the very failure it is
 // fixing, so first attempts go to peers with a clean record.
 func RepairForwardOrder(v *View, origin idspace.ID, p *Plan) {
-	p.Steps = p.Steps[:0]
-	p.Blocked = BlockedNone
-	rankTo(v, v.lowerBound(idspace.Distance(v.SelfID, origin)), p)
+	n := v.lowerBound(idspace.Distance(v.SelfID, origin))
+	p.Steps, p.Blocked = RankTo(v.Entries, n, p.Steps[:0]), BlockedNone
 }
 
 // RepairLaunchOrder ranks every table entry for launching a self-originated
 // §4.3 Repair clockwise around the full circle: farthest-reaching first
 // within each suspicion level.
 func RepairLaunchOrder(v *View, p *Plan) {
-	p.Steps = p.Steps[:0]
-	p.Blocked = BlockedNone
-	rankTo(v, len(v.Entries), p)
+	p.Steps, p.Blocked = RankTo(v.Entries, len(v.Entries), p.Steps[:0]), BlockedNone
 }
 
-// rankTo appends one StepGreedy per entry in Entries[:n] — the candidate
-// prefix the caller bounded — ordered by (suspicion ascending, distance
-// descending). This is the tree's one implementation of the Algorithm 2/3
-// candidate-ranking loop.
+// RankTo appends one StepGreedy per entry in the table prefix [0, n) the
+// caller bounded, ordered by (suspicion ascending, distance descending),
+// and returns the extended steps. This is the tree's one implementation of
+// the Algorithm 2/3 candidate-ranking loop: greedy forwarding ranks the
+// entries closer than the OD, a repair forward those closer than the
+// origin, a repair launch the whole table. susp is as in Decide.
 //
-// Entries arrive sorted ascending by distance, so inserting from the far
-// end keeps the all-clean case O(n) (ties never shift) and equal-suspicion
-// runs in descending-distance order; only entries with strictly higher
-// suspicion are displaced toward the back of the plan.
-func rankTo(v *View, n int, p *Plan) {
-	start := len(p.Steps)
+// Entries are sorted ascending by distance, so planning from the far end
+// yields descending distance for free; until the first suspected entry is
+// planned nothing can be out of order, and after it only entries with
+// strictly higher suspicion are displaced toward the back.
+func RankTo(susp []Entry, n int, steps []Step) []Step {
+	start := len(steps)
+	clean := true
 	for i := n - 1; i >= 0; i-- {
-		susp := v.Entries[i].Suspicion
-		p.Steps = append(p.Steps, Step{})
-		j := len(p.Steps) - 1
-		for j > start && v.Entries[p.Steps[j-1].Entry].Suspicion > susp {
-			p.Steps[j] = p.Steps[j-1]
+		steps = append(steps, Step{Kind: StepGreedy, Entry: int32(i)})
+		if susp == nil {
+			continue
+		}
+		s := susp[i].Suspicion
+		if clean {
+			clean = s == 0
+			continue
+		}
+		j := len(steps) - 1
+		for j > start && susp[steps[j-1].Entry].Suspicion > s {
+			steps[j] = steps[j-1]
 			j--
 		}
-		p.Steps[j] = Step{Kind: StepGreedy, Entry: int32(i)}
+		steps[j] = Step{Kind: StepGreedy, Entry: int32(i)}
 	}
+	return steps
 }

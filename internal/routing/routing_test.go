@@ -323,3 +323,128 @@ func TestNextHopsZeroAllocs(t *testing.T) {
 		t.Fatalf("RepairLaunchOrder allocates %v per run, want 0", n)
 	}
 }
+
+// simLocus locates an OD at index distance odd the way the simulator does:
+// on a node's sorted int32 index distances, with the counter-clockwise
+// pointer given as its clockwise index distance from self (0: none) on a
+// ring of n.
+func simLocus(dists []int32, odd int32, exit func(i int) bool, ccw, n int32) Locus {
+	at := Locus{}
+	for at.Closer < len(dists) && dists[at.Closer] < odd {
+		at.Closer++
+	}
+	if at.Closer < len(dists) && dists[at.Closer] == odd {
+		at.HasOD = true
+		at.Exit = exit(at.Closer)
+	}
+	if ccw != 0 {
+		at.CCW = CCWOK
+		if (odd-ccw+n)%n <= odd {
+			at.CCW = CCWWraps
+		}
+	}
+	return at
+}
+
+// TestLocatorsAgree ties the kernel's two producers together: for random
+// tables, NextHops on the FromUint64-embedded View (the live node's
+// 160-bit locator) and Decide on the simulator's integer Locus yield the
+// identical plan and block reason — across OD positions (in the table,
+// between entries, beyond the last entry, the clockwise neighbor), CCW
+// pointers (none, progressing, wrapping), both designs, both modes and
+// random suspicion. Together with overlay's TestRouteKernelDifferential
+// this is what lets the sim skip building a View.
+func TestLocatorsAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	seenKind, seenBlocked := map[StepKind]int{}, map[BlockReason]int{}
+	for trial := 0; trial < 3000; trial++ {
+		n := 3 + rng.Intn(4000)
+		var dists []int32
+		var asInts []int
+		for d := 1; d < n; d++ {
+			if d == 1 && rng.Intn(4) > 0 || rng.Intn(d) < 3 {
+				dists = append(dists, int32(d))
+				asInts = append(asInts, d)
+			}
+		}
+		v := testView(n, asInts, false)
+		if rng.Intn(2) == 0 {
+			v.Design = Base
+		}
+		allClean := rng.Intn(3) == 0
+		for i := range v.Entries {
+			if !allClean && rng.Intn(3) == 0 {
+				v.Entries[i].Suspicion = rng.Intn(4)
+			}
+			v.Entries[i].HasNephews = rng.Intn(8) > 0
+		}
+		exit := func(i int) bool {
+			if v.Design == Base {
+				return dists[i] == 1
+			}
+			return v.Entries[i].HasNephews
+		}
+
+		odd := int32(1 + rng.Intn(n-1))
+		switch rng.Intn(4) {
+		case 0:
+			if len(dists) > 0 {
+				odd = dists[rng.Intn(len(dists))]
+			}
+		case 1:
+			if last := int32(len(dists)); last > 0 && dists[last-1] < int32(n-1) {
+				odd = dists[last-1] + 1 + int32(rng.Intn(n-1-int(dists[last-1])))
+			}
+		case 2:
+			odd = 1
+		}
+		var ccw int32
+		switch rng.Intn(3) {
+		case 1: // progressing: strictly beyond the OD going clockwise
+			if odd < int32(n-1) {
+				ccw = odd + 1 + int32(rng.Intn(n-1-int(odd)))
+			}
+		case 2: // wrapping: at or before the OD
+			ccw = 1 + int32(rng.Intn(int(odd)))
+		}
+		if ccw != 0 {
+			id := idspace.FromUint64(uint64(ccw))
+			v.CCW = Entry{Peer: Peer{Index: int(ccw)}, ID: id, Dist: id}
+			v.HasCCW = true
+		}
+		backward := rng.Intn(3) == 0
+
+		var want Plan
+		NextHops(v, idspace.FromUint64(uint64(odd)), backward, &want)
+		at := simLocus(dists, odd, exit, ccw, int32(n))
+		susp := v.Entries
+		if allClean && trial%2 == 0 {
+			susp = nil // the simulator's form of "every entry is clean"
+		}
+		got, blocked := Decide(v.Design, at, backward, susp, nil)
+		seenBlocked[blocked]++
+		for _, st := range got {
+			seenKind[st.Kind]++
+		}
+		if blocked != want.Blocked || len(got) != len(want.Steps) {
+			t.Fatalf("trial %d (n=%d od=%d ccw=%d %+v): Decide = %v blocked %d, NextHops = %v blocked %d",
+				trial, n, odd, ccw, at, got, blocked, want.Steps, want.Blocked)
+		}
+		for i := range got {
+			if got[i] != want.Steps[i] {
+				t.Fatalf("trial %d (n=%d od=%d ccw=%d %+v): Decide = %v, NextHops = %v",
+					trial, n, odd, ccw, at, got, want.Steps)
+			}
+		}
+	}
+	for k := StepOD; k <= StepBackward; k++ {
+		if seenKind[k] == 0 {
+			t.Errorf("no trial planned step kind %d", k)
+		}
+	}
+	for b := BlockedNone; b <= BlockedWrapped; b++ {
+		if seenBlocked[b] == 0 {
+			t.Errorf("no trial ended with block reason %d", b)
+		}
+	}
+}

@@ -84,36 +84,54 @@ go test -run 'ZeroAllocs|BinaryCodecExhaustive' -v ./internal/wire/ | grep -E 'Z
 echo "==> query coalescing (-race, singleflight contract)"
 go test -race -run 'TestQueryCoalescing' -v ./internal/cluster/ | grep -E 'QueryCoalescing|^ok|FAIL'
 
-# Simulation bench smoke: the intra-overlay and end-to-end query hot paths
+# Simulation bench gate: the intra-overlay and end-to-end query hot paths
 # plus a fig9-shaped sweep cell (system build + attack + sharded Monte-Carlo
-# query loop). Current numbers land in BENCH_sim.json next to the fixed
-# pre-overhaul baseline so the speedup (and any regression) is visible in
-# review diffs; the acceptance floor is >= 2x on BenchmarkFig9Cell.
-echo "==> simulation bench smoke (query hot path + fig9-shaped sweep cell)"
-sim_core=$(go test -run '^$' -bench 'BenchmarkQueryHealthy$' -benchtime 0.2s ./internal/core/)
-sim_overlay=$(go test -run '^$' -bench 'BenchmarkRouteHealthy50k$' -benchtime 0.2s ./internal/overlay/)
-sim_fig9=$(go test -run '^$' -bench 'BenchmarkFig9Cell$' -benchtime 3x ./internal/experiments/)
-printf '%s\n%s\n%s\n' "$sim_core" "$sim_overlay" "$sim_fig9" | grep '^Benchmark'
-printf '%s\n%s\n%s\n' "$sim_core" "$sim_overlay" "$sim_fig9" | awk '
-    BEGIN {
-        print "{"
-        print "  \"baseline_pre_pr\": {"
-        print "    \"_comment\": \"measured at d6acfcb (before the zero-alloc/lazy-CAS/fan-out engine overhaul), single-core runner\","
-        print "    \"BenchmarkQueryHealthy\": {\"ns_per_op\": 111.8},"
-        print "    \"BenchmarkRouteHealthy50k\": {\"ns_per_op\": 943.0},"
-        print "    \"BenchmarkFig9Cell\": {\"ns_per_op\": 44631137, \"queries_per_s\": 89624}"
-        print "  },"
-        printf "  \"current\": {"
-    }
-    /^Benchmark/ {
+# query loop). Each benchmark runs three short times and its best run
+# counts (the runner is shared). BENCH_sim.json records that next to the
+# best figures ever measured, and two of them are hard gates, set at the
+# ROADMAP's targets: RouteHealthy50k <= 1200 ns/op and Fig9Cell <= 5.0 ms/op.
+echo "==> simulation bench gate (query hot path + fig9-shaped sweep cell)"
+sim_out=$({
+    go test -run '^$' -bench 'BenchmarkQueryHealthy$' -benchtime 0.2s -count 3 ./internal/core/
+    go test -run '^$' -bench 'BenchmarkRouteHealthy50k$|BenchmarkRouteUnderNeighborAttack$' -benchtime 0.2s -count 3 ./internal/overlay/
+    go test -run '^$' -bench 'BenchmarkFig9Cell$' -benchtime 3x -count 3 ./internal/experiments/
+} | grep '^Benchmark')
+echo "$sim_out"
+echo "$sim_out" | awk '
+    {
         name = $1
         sub(/-[0-9]+$/, "", name)
-        if (n++) printf ","
-        printf "\n    \"%s\": {\"ns_per_op\": %s", name, $3
-        if ($6 == "queries/s") printf ", \"queries_per_s\": %s", $5
-        printf "}"
+        if (!(name in ns)) names[n++] = name
+        if (!(name in ns) || $3 + 0 < ns[name]) {
+            ns[name] = $3 + 0
+            qps[name] = ($6 == "queries/s") ? $5 : ""
+        }
     }
-    END { print "\n  }\n}" }
+    END {
+        print "{"
+        print "  \"best\": {"
+        print "    \"_comment\": \"measured when the sim moved onto its int32 tables (ISSUE 14), 2-core runner\","
+        print "    \"BenchmarkQueryHealthy\": {\"ns_per_op\": 90.4},"
+        print "    \"BenchmarkRouteHealthy50k\": {\"ns_per_op\": 696.5},"
+        print "    \"BenchmarkRouteUnderNeighborAttack\": {\"ns_per_op\": 2186},"
+        print "    \"BenchmarkFig9Cell\": {\"ns_per_op\": 2747134, \"queries_per_s\": 1456229}"
+        print "  },"
+        printf "  \"current\": {"
+        for (i = 0; i < n; i++) {
+            printf "%s\n    \"%s\": {\"ns_per_op\": %s", (i ? "," : ""), names[i], ns[names[i]]
+            if (qps[names[i]] != "") printf ", \"queries_per_s\": %s", qps[names[i]]
+            printf "}"
+        }
+        print "\n  }\n}"
+        gate("BenchmarkRouteHealthy50k", 1200)
+        gate("BenchmarkFig9Cell", 5000000)
+        exit bad
+    }
+    function gate(name, limit) {
+        if (ns[name] > 0 && ns[name] <= limit) return
+        printf "FAIL: %s at %s ns/op (gate: <= %d)\n", name, ns[name], limit > "/dev/stderr"
+        bad = 1
+    }
 ' > BENCH_sim.json
 echo "    wrote BENCH_sim.json"
 
